@@ -10,7 +10,6 @@ the result (orderings, ratios) with documented tolerances, never exact
 wall-clock values.
 """
 
-import contextlib
 import time
 from dataclasses import replace
 
@@ -22,15 +21,20 @@ from repro.graph.trace import trace_model
 from repro.latency.predictors import predict_all_devices
 from repro.nas.config import ModelConfig
 from repro.nas.crossval import TrainSettings, cross_validate_model
-from repro.nas.evaluators import TrainingEvaluator
 from repro.nn.resnet import SearchableResNet18, build_model
 from repro.onnxlite.export import export_model
 from repro.pareto.dominance import non_dominated_mask, non_dominated_mask_kung
 from repro.parallel import available_cpus
 from repro.profiling import profile_training_step
-from repro.serve import BatchPolicy, PlanServer, run_load, serial_baseline
+from repro.serve import (
+    BatchPolicy,
+    PlanServer,
+    ServeConfig,
+    ServeRequest,
+    run_load,
+    serial_baseline,
+)
 from repro.tensor import Tensor, WorkspacePool, conv2d, use_workspaces
-from repro.tensor import conv_ops
 from repro.tensor.tensor import no_grad
 
 
@@ -188,213 +192,6 @@ class TestParetoPerformance:
         assert mask.any()
 
 
-def _legacy_conv2d(x, weight, bias, stride=1, padding=0):
-    """The pre-PR conv2d, verbatim: allocation-per-call position-major GEMM.
-
-    Kept inline as the benchmark baseline so the training-substrate
-    speedup is measured against the exact code path the repo shipped
-    before the workspace/hybrid-GEMM work (no pooled buffers, extra
-    ``ascontiguousarray`` passes, a backward closure even in eval mode,
-    and ``np.zeros`` scatter targets every backward call).
-    """
-    n, c_in, h, w = x.shape
-    c_out, _, kernel, _ = weight.shape
-    out_h = conv_ops.conv_output_size(h, kernel, stride, padding)
-    out_w = conv_ops.conv_output_size(w, kernel, stride, padding)
-    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding))) if padding else x.data
-    cols = (
-        conv_ops._windows(xp, kernel, stride)
-        .transpose(0, 2, 3, 1, 4, 5)
-        .reshape(n * out_h * out_w, c_in * kernel * kernel)
-    )
-    cols = np.ascontiguousarray(cols)
-    w_mat = weight.data.reshape(c_out, -1).T
-    out_mat = cols @ w_mat
-    if bias is not None:
-        out_mat += bias.data
-    out_data = np.ascontiguousarray(out_mat.reshape(n, out_h, out_w, c_out).transpose(0, 3, 1, 2))
-    parents = (x, weight) if bias is None else (x, weight, bias)
-
-    def backward(grad):
-        grad_mat = grad.transpose(0, 2, 3, 1).reshape(n * out_h * out_w, c_out)
-        if bias is not None:
-            bias._accumulate(grad_mat.sum(axis=0))
-        if weight.requires_grad:
-            weight._accumulate((cols.T @ grad_mat).T.reshape(weight.shape))
-        if x.requires_grad:
-            gc = (grad_mat @ w_mat.T).reshape(n, out_h, out_w, c_in, kernel, kernel)
-            gc = gc.transpose(0, 3, 1, 2, 4, 5)
-            ph, pw = h + 2 * padding, w + 2 * padding
-            gxp = np.zeros((n, c_in, ph, pw), dtype=np.float32)
-            for i in range(kernel):
-                for j in range(kernel):
-                    gxp[:, :, i : i + stride * out_h : stride, j : j + stride * out_w : stride] += gc[
-                        :, :, :, :, i, j
-                    ]
-            if padding:
-                gxp = gxp[:, :, padding:-padding, padding:-padding]
-            x._accumulate(gxp)
-
-    return Tensor._make(out_data, parents, backward, "conv2d")
-
-
-def _legacy_batch_norm_2d(x, gamma, beta, running_mean, running_var, training,
-                          momentum=0.1, eps=1e-5):
-    """The pre-PR batch norm, verbatim: four full-tensor temporaries in the
-    forward, five more in the training backward, closure always captured."""
-    n, c, h, w = x.shape
-    axes = (0, 2, 3)
-    count = n * h * w
-    if training:
-        mean = x.data.mean(axis=axes, dtype=np.float32)
-        var = x.data.var(axis=axes, dtype=np.float32)
-        unbiased = var * (count / max(count - 1, 1))
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * mean
-        running_var *= 1.0 - momentum
-        running_var += momentum * unbiased
-    else:
-        mean = running_mean.astype(np.float32)
-        var = running_var.astype(np.float32)
-    inv_std = 1.0 / np.sqrt(var + eps)
-    x_hat = (x.data - mean[None, :, None, None]) * inv_std[None, :, None, None]
-    out_data = x_hat * gamma.data[None, :, None, None] + beta.data[None, :, None, None]
-
-    def backward(grad):
-        g = gamma.data[None, :, None, None]
-        gamma._accumulate((grad * x_hat).sum(axis=axes))
-        beta._accumulate(grad.sum(axis=axes))
-        if not x.requires_grad:
-            return
-        if training:
-            dxhat = grad * g
-            term2 = dxhat.mean(axis=axes, keepdims=True)
-            term3 = x_hat * (dxhat * x_hat).mean(axis=axes, keepdims=True)
-            x._accumulate((dxhat - term2 - term3) * inv_std[None, :, None, None])
-        else:
-            x._accumulate(grad * g * inv_std[None, :, None, None])
-
-    return Tensor._make(out_data, (x, gamma, beta), backward, "batch_norm_2d")
-
-
-def _legacy_relu(self):
-    """The pre-PR relu, verbatim: fresh mask + copying accumulate."""
-    out_data = np.maximum(self.data, 0.0)
-
-    def backward(grad):
-        self._accumulate(grad * (self.data > 0))
-
-    return Tensor._make(out_data, (self,), backward, "relu")
-
-
-def _legacy_matmul(self, other):
-    """The pre-PR matmul, verbatim: copying accumulates for both operands."""
-    other = other if isinstance(other, Tensor) else Tensor(other)
-    if self.ndim != 2 or other.ndim != 2:
-        raise ValueError(f"matmul expects 2-D operands, got {self.shape} @ {other.shape}")
-    out_data = self.data @ other.data
-
-    def backward(grad):
-        self._accumulate(grad @ other.data.T)
-        other._accumulate(self.data.T @ grad)
-
-    return Tensor._make(out_data, (self, other), backward, "matmul")
-
-
-def _legacy_max_pool2d(x, kernel, stride):
-    """The pre-PR max pool, verbatim: np.zeros scatter + copying accumulate."""
-    n, c, h, w = x.shape
-    out_h = conv_ops.pool_output_size(h, kernel, stride)
-    out_w = conv_ops.pool_output_size(w, kernel, stride)
-    windows = conv_ops._windows(x.data, kernel, stride)
-    flat = windows.reshape(n, c, out_h, out_w, kernel * kernel)
-    arg = flat.argmax(axis=-1)
-    out_data = np.ascontiguousarray(np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0])
-
-    def backward(grad):
-        grad_x = np.zeros((n, c, h, w), dtype=np.float32)
-        ki, kj = np.divmod(arg, kernel)
-        oi, oj = np.meshgrid(np.arange(out_h), np.arange(out_w), indexing="ij")
-        rows = oi[None, None] * stride + ki
-        cols_ = oj[None, None] * stride + kj
-        nn, cc = np.meshgrid(np.arange(n), np.arange(c), indexing="ij")
-        np.add.at(grad_x, (nn[..., None, None], cc[..., None, None], rows, cols_), grad)
-        x._accumulate(grad_x)
-
-    return Tensor._make(out_data, (x,), backward, "max_pool2d")
-
-
-def _legacy_avg_pool2d(x, kernel, stride):
-    """The pre-PR average pool, verbatim."""
-    n, c, h, w = x.shape
-    out_h = conv_ops.pool_output_size(h, kernel, stride)
-    out_w = conv_ops.pool_output_size(w, kernel, stride)
-    windows = conv_ops._windows(x.data, kernel, stride)
-    out_data = np.ascontiguousarray(windows.mean(axis=(-2, -1), dtype=np.float32))
-    scale = 1.0 / (kernel * kernel)
-
-    def backward(grad):
-        grad_x = np.zeros((n, c, h, w), dtype=np.float32)
-        g = grad * scale
-        for i in range(kernel):
-            for j in range(kernel):
-                grad_x[:, :, i : i + stride * out_h : stride, j : j + stride * out_w : stride] += g
-        x._accumulate(grad_x)
-
-    return Tensor._make(out_data, (x,), backward, "avg_pool2d")
-
-
-def _legacy_sgd_step(self):
-    """The pre-PR SGD step, verbatim: out-of-place update temporaries."""
-    for i, p in enumerate(self.params):
-        if p.grad is None:
-            continue
-        grad = p.grad
-        if self.weight_decay:
-            grad = grad + self.weight_decay * p.data
-        if self.momentum:
-            if self._velocity[i] is None:
-                self._velocity[i] = grad.copy()
-            else:
-                v = self._velocity[i]
-                v *= self.momentum
-                v += grad
-            grad = self._velocity[i]
-        p.data -= self.lr * grad
-
-
-@contextlib.contextmanager
-def _pre_pr_substrate():
-    """Swap the full pre-PR training substrate back into the stack.
-
-    Conv, batch norm, relu, matmul, both pools and the SGD step are
-    replaced with their verbatim pre-PR implementations so the speedup
-    benchmark measures the whole substrate (hybrid GEMM layouts,
-    workspace pooling, gradient donation, in-place optimizer) against
-    exactly the code path the repo shipped before this PR — not against
-    a baseline that silently inherits half the optimizations.
-    """
-    from repro.nn.optim import SGD
-    from repro.tensor import functional as F
-
-    saved = (
-        conv_ops.conv2d, F.batch_norm_2d, Tensor.relu, Tensor.__matmul__,
-        conv_ops.max_pool2d, conv_ops.avg_pool2d, SGD.step,
-    )
-    conv_ops.conv2d = _legacy_conv2d
-    F.batch_norm_2d = _legacy_batch_norm_2d
-    Tensor.relu = _legacy_relu
-    Tensor.__matmul__ = _legacy_matmul
-    conv_ops.max_pool2d = _legacy_max_pool2d
-    conv_ops.avg_pool2d = _legacy_avg_pool2d
-    SGD.step = _legacy_sgd_step
-    try:
-        yield
-    finally:
-        (conv_ops.conv2d, F.batch_norm_2d, Tensor.relu, Tensor.__matmul__,
-         conv_ops.max_pool2d, conv_ops.avg_pool2d, SGD.step) = saved
-
-
 class TestTrainingThroughput:
     """The PR 2 substrate: hybrid-GEMM conv + workspace reuse + fold executors.
 
@@ -409,13 +206,6 @@ class TestTrainingThroughput:
         return ModelConfig(channels=5, batch=8, kernel_size=3, stride=2, padding=1,
                            pool_choice=0, kernel_size_pool=3, stride_pool=2,
                            initial_output_feature=32)
-
-    def _evaluator(self, **overrides):
-        """Small-but-real CV evaluator at the paper's 100x100 patch size."""
-        kwargs = dict(samples_per_class=8, patch_size=100, epochs=3, k=2,
-                      regions=["california"], seed=0)
-        kwargs.update(overrides)
-        return TrainingEvaluator(**kwargs)
 
     def test_training_step_throughput(self, benchmark, bench_config):
         """Images/s + steady-state workspace reuse of one SGD train step."""
@@ -456,58 +246,6 @@ class TestTrainingThroughput:
         assert profile.forward_s > 0 and profile.backward_s > 0
         # Misses stop growing after the first step; steps 2..3 are all hits.
         assert profile.workspace["hits"] > profile.workspace["misses"]
-
-    def test_evaluator_speedup_vs_pre_pr_path(self, benchmark, bench_config):
-        """The substrate trains >= 1.5x faster than the pre-PR path.
-
-        Tolerance rationale: at the paper's 100x100 patches the hybrid
-        GEMM layout, workspace reuse and gradient donation measure
-        ~1.8x over the legacy allocation-per-call substrate locally, so
-        1.5x leaves headroom for noisy CI machines while still failing
-        if the layout heuristic, the pooling or the donation path
-        regresses.  The two paths are timed in *paired interleaved*
-        rounds and compared by the median per-round ratio — a global
-        machine-speed drift between a legacy block and a new block
-        would otherwise dominate the comparison.  Fold accuracies are
-        compared coarsely here (each fold holds four validation
-        samples, i.e. 25-point granularity); exact
-        serial/parallel/workspace equality lives in
-        ``tests/test_nas_training.py``.
-        """
-        legacy_evaluator = self._evaluator(workspaces=False)
-        new_evaluator = self._evaluator()
-        with _pre_pr_substrate():  # warm dataset caches on both paths
-            legacy_result = legacy_evaluator.evaluate(bench_config)
-        new_result = new_evaluator.evaluate(bench_config)
-
-        ratios = []
-        for _ in range(3):
-            with _pre_pr_substrate():
-                t0 = time.perf_counter()
-                legacy_evaluator.evaluate(bench_config)
-                legacy_s = time.perf_counter() - t0
-            t0 = time.perf_counter()
-            new_evaluator.evaluate(bench_config)
-            new_s = time.perf_counter() - t0
-            ratios.append((legacy_s / new_s, legacy_s, new_s))
-        ratios.sort()
-        speedup, legacy_s, new_s = ratios[len(ratios) // 2]
-
-        if not getattr(benchmark, "disabled", False):
-            # Artifact timing of the new path (the assert above is drawn
-            # from the paired rounds, not from this).
-            benchmark(new_evaluator.evaluate, bench_config)
-
-        assert speedup >= 1.5, (
-            f"training substrate should be >= 1.5x the pre-PR path: "
-            f"median paired round legacy {legacy_s * 1e3:.0f} ms vs "
-            f"new {new_s * 1e3:.0f} ms ({speedup:.2f}x)"
-        )
-        # Qualitatively unchanged accuracy: same fold count, valid
-        # percentages, and means within the coarse granularity bound.
-        assert len(new_result.fold_accuracies) == len(legacy_result.fold_accuracies)
-        assert all(0.0 <= a <= 100.0 for a in new_result.fold_accuracies)
-        assert abs(new_result.accuracy - legacy_result.accuracy) <= 50.0
 
     def test_fold_parallel_matches_serial(self, benchmark, bench_config):
         """Process-pool CV reproduces serial fold accuracies bitwise.
@@ -578,10 +316,10 @@ class TestServingThroughput:
         rng = np.random.default_rng(0)
         x = rng.normal(size=serve_plan.input_shape).astype(np.float32)
 
-        with PlanServer(serve_plan, policy=policy) as server:
+        with PlanServer(serve_plan, ServeConfig(policy=policy)) as server:
             # Correctness spot-check: one served request matches the
             # serial compiled path on the same image.
-            served_out = server.infer(x)
+            served_out = server.infer(ServeRequest(image=x)).row
             serial_out = serve_plan.replicate().run(x[None])[0]
             np.testing.assert_allclose(served_out, serial_out, rtol=1e-3, atol=1e-4)
 
@@ -613,8 +351,8 @@ class TestServingThroughput:
         if not getattr(benchmark, "disabled", False):
             # Artifact timing of one served request under no load (the
             # assert above is drawn from the paired rounds, not this).
-            with PlanServer(serve_plan, policy=policy) as artifact_server:
-                benchmark(artifact_server.infer, x)
+            with PlanServer(serve_plan, ServeConfig(policy=policy)) as artifact_server:
+                benchmark(lambda: artifact_server.infer(ServeRequest(image=x)))
         benchmark.extra_info["serving_throughput_ips"] = round(report.throughput_ips, 1)
         benchmark.extra_info["serial_throughput_ips"] = round(baseline.throughput_ips, 1)
         benchmark.extra_info["speedup_vs_serial"] = round(speedup, 2)
@@ -641,17 +379,20 @@ class TestServingThroughput:
         rng = np.random.default_rng(0)
         x = rng.normal(size=serve_plan.input_shape).astype(np.float32)
 
-        def policy(mode: str) -> BatchPolicy:
-            return BatchPolicy(max_batch_size=16, max_queue_delay_ms=5.0,
-                               max_queue_depth=128, replicas=workers,
-                               worker_mode=mode)
+        def config(mode: str) -> ServeConfig:
+            return ServeConfig(
+                policy=BatchPolicy(max_batch_size=16, max_queue_delay_ms=5.0,
+                                   max_queue_depth=128, replicas=workers,
+                                   worker_mode=mode),
+                cpus=workers)
 
         rounds = []
         proc_stats = {}
-        with PlanServer(serve_plan, policy=policy("thread"), cpus=workers) as ts, \
-                PlanServer(serve_plan, policy=policy("process"), cpus=workers) as ps:
+        with PlanServer(serve_plan, config("thread")) as ts, \
+                PlanServer(serve_plan, config("process")) as ps:
             # Cross-mode identity spot-check on a bucket-1 request.
-            np.testing.assert_array_equal(ts.infer(x), ps.infer(x))
+            np.testing.assert_array_equal(ts.infer(ServeRequest(image=x)).row,
+                                          ps.infer(ServeRequest(image=x)).row)
             for _ in range(3):
                 thread_report = run_load(ts, duration_s=1.0, clients=32, seed=0)
                 proc_report = run_load(ps, duration_s=1.0, clients=32, seed=0)
@@ -676,9 +417,8 @@ class TestServingThroughput:
             )
 
         if not getattr(benchmark, "disabled", False):
-            with PlanServer(serve_plan, policy=policy("process"),
-                            cpus=workers) as artifact_server:
-                benchmark(artifact_server.infer, x)
+            with PlanServer(serve_plan, config("process")) as artifact_server:
+                benchmark(lambda: artifact_server.infer(ServeRequest(image=x)))
         benchmark.extra_info["worker_mode"] = "process"
         benchmark.extra_info["workers"] = workers
         benchmark.extra_info["cpu_count"] = cores

@@ -442,8 +442,8 @@ def _run_fleet_bench(args: argparse.Namespace) -> int:
     for event in scale_events:
         print(f"  scale {event['action']:<4} {event['model']} -> "
               f"{event['replicas']} replica(s) (queue {event['queue_depth']})")
-    print(f"  cores {available_cpus()}  cache hits {stats['cache']['hits']}  "
-          f"misses {stats['cache']['misses']}")
+    print(f"  cores {available_cpus()}  cache hits {stats['hits']}  "
+          f"misses {stats['misses']}")
     if args.obs_log:
         print(f"observability log written to {args.obs_log} "
               f"(render with: repro-nas obs report {args.obs_log})")
@@ -463,7 +463,8 @@ def _run_fleet_bench(args: argparse.Namespace) -> int:
             "admission": stats.get("admission", {}),
             "extra_info": {
                 "cpu_count": available_cpus(),
-                "serve_config": serve_config.as_dict(),
+                # The resolved (post-clamp) server construction config.
+                "serve_config": fleet.config.as_dict(),
             },
             "input_hw": args.size,
         }
@@ -522,12 +523,11 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
               f"{' (cached decisions)' if tune.cached else ''}")
     else:
         plan = fp32_plan
-    replicas = args.workers if args.workers > 0 else args.replicas
     if args.target_p99_ms > 0:
         policy = suggest_batch_policy(
             trace_model(model, input_hw=(args.size, args.size)),
             target_p99_ms=args.target_p99_ms,
-            replicas=replicas,
+            replicas=args.replicas,
             worker_mode=args.worker_mode,
         )
         print(f"policy seeded from latency predictors (target p99 {args.target_p99_ms} ms): "
@@ -539,7 +539,7 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
             max_batch_size=args.max_batch,
             max_queue_delay_ms=args.max_delay_ms,
             max_queue_depth=args.queue_depth,
-            replicas=replicas,
+            replicas=args.replicas,
             worker_mode=args.worker_mode,
         )
     baseline = serial_baseline(plan.replicate(), duration_s=min(1.0, args.duration / 2))
@@ -751,29 +751,25 @@ def build_parser() -> argparse.ArgumentParser:
                              help="aggregate open-loop arrival rate in images/sec "
                                   "(0 = closed loop)")
     # Policy knobs use dotted --policy.* spellings mirroring the
-    # BatchPolicy field names; the historical flat spellings remain as
-    # aliases (same dest) so existing scripts and CI keep working.
-    serve_bench.add_argument("--policy.replicas", "--replicas",
+    # BatchPolicy field names.
+    serve_bench.add_argument("--policy.replicas",
                              dest="replicas", type=int, default=1,
-                             help="plan replicas / worker threads")
-    serve_bench.add_argument("--policy.worker-mode", "--worker-mode",
+                             help="plan replicas: worker threads, or worker "
+                                  "processes with --policy.worker-mode process; "
+                                  "clamped to the usable core count")
+    serve_bench.add_argument("--policy.worker-mode",
                              dest="worker_mode",
                              choices=("thread", "process"), default="thread",
                              help="run plan replicas as threads (shared GIL) or "
                                   "as worker processes over shared-memory "
                                   "weight arenas")
-    serve_bench.add_argument("--policy.workers", "--workers",
-                             dest="workers", type=int, default=0,
-                             help="worker count for --policy.worker-mode process "
-                                  "(0 = use --policy.replicas); clamped to the "
-                                  "usable core count")
-    serve_bench.add_argument("--policy.max-batch-size", "--max-batch",
+    serve_bench.add_argument("--policy.max-batch-size",
                              dest="max_batch", type=int, default=16,
                              help="micro-batcher coalescing limit")
-    serve_bench.add_argument("--policy.max-queue-delay-ms", "--max-delay-ms",
+    serve_bench.add_argument("--policy.max-queue-delay-ms",
                              dest="max_delay_ms", type=float, default=5.0,
                              help="deadline before a partial batch is flushed")
-    serve_bench.add_argument("--policy.max-queue-depth", "--queue-depth",
+    serve_bench.add_argument("--policy.max-queue-depth",
                              dest="queue_depth", type=int, default=64,
                              help="backpressure high-water mark")
     serve_bench.add_argument("--fleet", type=int, default=0,
@@ -789,7 +785,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve_bench.add_argument("--target-p99-ms", type=float, default=0.0,
                              help="seed the batch policy from the device latency "
                                   "predictors against this p99 budget "
-                                  "(overrides --max-batch/--max-delay-ms/--queue-depth)")
+                                  "(overrides --policy.max-batch-size, "
+                                  "--policy.max-queue-delay-ms and "
+                                  "--policy.max-queue-depth)")
     serve_bench.add_argument("--seed", type=int, default=0)
     serve_bench.add_argument("--quantized", action="store_true",
                              help="serve the quantized + autotuned plan instead of "

@@ -5,10 +5,10 @@ resource-limited devices; this package is the request path for that —
 the layer that turns one-shot :meth:`InferencePlan.run` calls into a
 server that batches, parallelizes, routes, and sheds load:
 
-- :class:`ServeRequest` / :class:`ServeResponse` — the canonical
-  request objects: image plus tenant, priority, wall-clock SLO
-  deadline, device/latency budget, model hint, and accuracy floor in;
-  logits row plus served model and queue/exec timings out;
+- :class:`ServeRequest` / :class:`ServeResponse` — the one
+  request/response contract: image plus tenant, priority, wall-clock
+  SLO deadline, device/latency budget, model hint, and accuracy floor
+  in; logits row plus served model and queue/exec timings out;
 - :class:`MicroBatcher` — dynamic micro-batching with priority classes,
   deadline flush, fail-fast SLO expiry (:class:`DeadlineExceeded`),
   bounded-queue backpressure (:class:`ServerOverloaded`), graceful
@@ -19,20 +19,21 @@ server that batches, parallelizes, routes, and sheds load:
 - :class:`PlanCache` — warm plan replicas + pinned input buffers keyed
   by ``(model fingerprint, batch bucket)`` with power-of-two padding,
   so steady-state serving performs zero arena allocations;
-- :class:`PlanServer` — single-model serving: N worker threads, each
-  running exclusive plan replicas (weights shared, arenas private);
-  with ``BatchPolicy(worker_mode="process")`` batches execute in a
-  :class:`WorkerPool` of worker *processes* over shared-memory weight
-  arenas (:mod:`repro.serve.shm`), escaping the GIL on multi-core
-  machines with bitwise-identical results;
-- :class:`FleetServer` — multi-model serving over one shared cache:
-  requests route to the cheapest registered model predicted (by the
-  :mod:`repro.latency` device predictors) to meet their accuracy floor
-  and latency budget, and a tick-driven autoscaler grows/retires
-  replicas per model from queue-depth and p99 signals;
+- :class:`FleetServer` — the server: requests route to the cheapest
+  registered model predicted (by the :mod:`repro.latency` device
+  predictors) to meet their accuracy floor and latency budget; each
+  model's worker threads run exclusive plan replicas over one shared
+  cache (weights shared, arenas private), and a tick-driven autoscaler
+  grows/retires replicas per model from queue-depth and p99 signals.
+  With ``BatchPolicy(worker_mode="process")`` the (single) model's
+  batches execute in a :class:`WorkerPool` of worker *processes* over
+  shared-memory weight arenas (:mod:`repro.serve.shm`), escaping the
+  GIL on multi-core machines with bitwise-identical results;
+- :class:`PlanServer` — ``PlanServer(plan, config)``, a
+  :class:`FleetServer` with one model registered;
 - :class:`ServeConfig` — consolidated construction config
   (:class:`BatchPolicy` + warm + cpus + admission +
-  :class:`AutoscalerConfig`) accepted by both servers;
+  :class:`AutoscalerConfig`);
 - :func:`run_load` / :func:`run_fleet_load` / :func:`serial_baseline` —
   closed/open-loop and multi-tenant load generation plus the
   single-stream reference for throughput ratios.

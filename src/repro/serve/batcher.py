@@ -1,17 +1,17 @@
 """Dynamic micro-batching: coalesce single-image requests into batches.
 
-The batcher is the request-path front of :class:`repro.serve.PlanServer`
-and of every per-model queue inside :class:`repro.serve.FleetServer`.
-Producers call :meth:`MicroBatcher.submit_request` (or the legacy
-ndarray :meth:`MicroBatcher.submit`) and get a future; worker threads
+The batcher is the request-path front of every per-model queue inside
+:class:`repro.serve.FleetServer` (and so of
+:class:`repro.serve.PlanServer`, its one-model case).  Producers call
+:meth:`MicroBatcher.submit_request` and get a future; worker threads
 call :meth:`MicroBatcher.next_batch` and receive batches formed under
 the policy's ``max_batch_size`` / ``max_queue_delay_ms`` knobs.
 
-The canonical request object is :class:`ServeRequest` — image plus
-tenant, priority class, wall-clock SLO deadline, device/latency budget,
-model hint, and accuracy floor.  Completed requests resolve either to a
-bare logits row (legacy ``submit`` path) or to a :class:`ServeResponse`
-carrying the served model and queue/exec timings.
+The request object is :class:`ServeRequest` — image plus tenant,
+priority class, wall-clock SLO deadline, device/latency budget, model
+hint, and accuracy floor.  Completed requests resolve to a
+:class:`ServeResponse` carrying the logits row, the served model and
+queue/exec timings.
 
 Scheduling is priority-class then FIFO: higher ``priority`` pops first,
 arrival order within a class.  With every request in the default class
@@ -23,7 +23,7 @@ Overload is shed at two gates:
   :class:`~repro.serve.admission.AdmissionController`) bound *fairness*
   — one chatty tenant exhausts its own bucket, not the shared queue;
 - the bounded queue (``max_queue_depth``) bounds *memory* — past the
-  high-water mark ``submit`` raises :class:`ServerOverloaded`.
+  high-water mark ``submit_request`` raises :class:`ServerOverloaded`.
 
 Requests whose ``deadline_ms`` elapses while still queued are failed
 fast with :class:`DeadlineExceeded` instead of being executed — serving
@@ -72,8 +72,8 @@ _SLO_MISSED = obs.counter("repro_serve_slo_missed_total")
 class ServerOverloaded(RuntimeError):
     """The bounded request queue is at its high-water mark.
 
-    Raised by :meth:`MicroBatcher.submit` (and therefore
-    :meth:`repro.serve.PlanServer.submit`).  Clients should back off or
+    Raised by :meth:`MicroBatcher.submit_request` (and therefore
+    :meth:`repro.serve.FleetServer.submit`).  Clients should back off or
     shed the request; the load generator counts these as rejections.
     """
 
@@ -93,8 +93,7 @@ class ServeRequest:
     Parameters
     ----------
     image:
-        Input array (``(C, H, W)`` or ``(1, C, H, W)``); the legacy
-        :meth:`MicroBatcher.submit` path wraps a bare ndarray here.
+        Input array (``(C, H, W)`` or ``(1, C, H, W)``).
     tenant:
         Billing/fairness identity for admission control.
     priority:
@@ -168,14 +167,8 @@ class Request:
     enqueued_at: float
     priority: int = 0
     deadline_at: float | None = None  # clock units, None = no SLO
-    wants_response: bool = False  # resolve to ServeResponse vs bare row
     meta: Mapping[str, Any] = field(default_factory=dict)  # router annotations
     future: Future = field(default_factory=Future)
-
-    @property
-    def x(self) -> np.ndarray:
-        """The input array (legacy accessor kept for existing callers)."""
-        return self.request.image
 
 
 class MicroBatcher:
@@ -240,32 +233,21 @@ class MicroBatcher:
 
     # -- producer side ---------------------------------------------------------
 
-    def submit(self, x: np.ndarray) -> Future:
-        """Queue one bare array; the future resolves to the logits row.
-
-        Legacy adapter over :meth:`submit_request` — equivalent to
-        submitting ``ServeRequest(image=x)`` with a bare-row reply.
-        Raises :class:`ServerOverloaded` past the high-water mark and
-        ``RuntimeError`` after :meth:`close`.
-        """
-        return self.submit_request(ServeRequest(image=x), wants_response=False)
-
     def submit_request(
         self,
         request: ServeRequest,
         *,
-        wants_response: bool = True,
         meta: Mapping[str, Any] | None = None,
     ) -> Future:
         """Queue one :class:`ServeRequest`; returns the future of its result.
 
-        The future resolves to a :class:`ServeResponse` (or a bare row
-        when ``wants_response=False``), or fails with
+        The future resolves to a :class:`ServeResponse`, or fails with
         :class:`DeadlineExceeded` if the request's ``deadline_ms``
         elapses before execution.  Raises
         :class:`~repro.serve.admission.TenantOverloaded` when the
-        tenant's token bucket is empty and :class:`ServerOverloaded`
-        past the queue high-water mark.
+        tenant's token bucket is empty, :class:`ServerOverloaded` past
+        the queue high-water mark and ``RuntimeError`` after
+        :meth:`close`.
         """
         if self.admission is not None:
             self.admission.admit(request.tenant)  # raises TenantOverloaded
@@ -296,7 +278,6 @@ class MicroBatcher:
                     if request.deadline_ms is not None
                     else None
                 ),
-                wants_response=wants_response,
                 meta=dict(meta) if meta else {},
             )
             self.submitted += 1
@@ -447,16 +428,16 @@ def complete_batch(
     started: float,
     finished: float,
 ) -> tuple[int, int]:
-    """Resolve a batch's futures with rows or :class:`ServeResponse` objects.
+    """Resolve a batch's futures with :class:`ServeResponse` objects.
 
     ``rows[i]`` must be the logits row for ``batch[i]`` (a view into a
-    padded batch output is fine — rows are copied here).  Returns
+    padded batch output is fine — rows are copied here, so callers
+    can't alias each other through the shared output block).  Returns
     ``(slo_attained, slo_missed)`` counts over the requests that
     declared a deadline, ticking the corresponding obs counters.
     """
     attained = missed = 0
     for i, r in enumerate(batch):
-        row = np.array(rows[i], copy=True)
         deadline_met: bool | None = None
         if r.deadline_at is not None:
             deadline_met = finished <= r.deadline_at
@@ -466,18 +447,15 @@ def complete_batch(
             else:
                 missed += 1
                 _SLO_MISSED.inc()
-        if r.wants_response:
-            r.future.set_result(ServeResponse(
-                row=row,
-                model=r.meta.get("model", model),
-                tenant=r.request.tenant,
-                priority=r.priority,
-                queue_ms=(started - r.enqueued_at) * 1e3,
-                exec_ms=(finished - started) * 1e3,
-                total_ms=(finished - r.enqueued_at) * 1e3,
-                deadline_met=deadline_met,
-                predicted_ms=r.meta.get("predicted_ms"),
-            ))
-        else:
-            r.future.set_result(row)
+        r.future.set_result(ServeResponse(
+            row=np.array(rows[i], copy=True),
+            model=model,
+            tenant=r.request.tenant,
+            priority=r.priority,
+            queue_ms=(started - r.enqueued_at) * 1e3,
+            exec_ms=(finished - started) * 1e3,
+            total_ms=(finished - r.enqueued_at) * 1e3,
+            deadline_met=deadline_met,
+            predicted_ms=r.meta.get("predicted_ms"),
+        ))
     return attained, missed

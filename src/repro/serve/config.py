@@ -2,13 +2,10 @@
 
 :class:`ServeConfig` is the one object that describes how a server is
 put together — batching policy, cache warming, CPU budget, per-tenant
-admission, and (for the fleet) autoscaling.  Both
-:class:`repro.serve.PlanServer` and :class:`repro.serve.FleetServer`
-take it as their single ``config=`` argument; the legacy
-``PlanServer(plan, policy=..., warm=..., cpus=...)`` spelling still
-works through a deprecation shim that ticks the
-``repro_serve_deprecated_api_total`` obs counter (no warnings spam —
-grep the metrics instead).
+admission, and autoscaling.  :class:`repro.serve.FleetServer` takes it
+as its ``config`` argument, and so does
+:class:`repro.serve.PlanServer` (``PlanServer(plan, config)``), the
+fleet's one-model case.
 """
 
 from __future__ import annotations
@@ -24,7 +21,7 @@ __all__ = ["AutoscalerConfig", "ServeConfig"]
 
 @dataclass(frozen=True)
 class AutoscalerConfig:
-    """Replica autoscaling bounds and triggers (fleet only).
+    """Replica autoscaling bounds and triggers (thread mode only).
 
     The autoscaler is tick-driven (:meth:`repro.serve.FleetServer.scale_tick`),
     deciding per model from `repro.obs`-visible signals:
@@ -74,17 +71,19 @@ class ServeConfig:
     Parameters
     ----------
     policy:
-        Batching/replica policy (per model, for the fleet).
+        Batching/replica policy, applied per model.
     warm:
         Pre-build replicas and pre-touch arenas at startup so steady
-        state allocates nothing.
+        state allocates nothing (process-mode workers always warm their
+        own).
     cpus:
         Logical-CPU budget for replica clamping; ``None`` = detect.
     admission:
         Per-tenant token buckets + priority classes; ``None`` disables
         admission control (global queue depth still applies).
     autoscaler:
-        Fleet replica autoscaling; ``None`` pins ``policy.replicas``.
+        Per-model replica autoscaling; ``None`` pins
+        ``policy.replicas``.  Rejected in process mode.
     """
 
     policy: BatchPolicy = field(default_factory=BatchPolicy)

@@ -1,4 +1,4 @@
-"""Multi-tenant serving fleet: hardware-aware routing over many models.
+"""The serving server: hardware-aware routing over one or many models.
 
 :class:`FleetServer` is the deployment-time completion of the paper's
 Pareto front.  The search produced *several* models traded off across
@@ -7,7 +7,8 @@ quantized variants) behind one endpoint and routes each
 :class:`~repro.serve.ServeRequest` to the cheapest model predicted — by
 the same nn-Meter-style :mod:`repro.latency` predictors that drove the
 search — to satisfy that request's declared accuracy floor and latency
-budget:
+budget.  A single-model server is the one-point front:
+:class:`repro.serve.PlanServer` is this class with one model registered.
 
 .. code-block:: text
 
@@ -20,6 +21,7 @@ budget:
         workers 0..t  workers 0..t  workers 0..t   (t = autoscaled)
             └───────────┼──────────────┘
                  shared PlanCache (all fingerprints, all buckets)
+                 or the model's WorkerPool (process mode)
                         │  pad → run → slice
                future.set_result(ServeResponse)
 
@@ -45,10 +47,13 @@ Design points:
   the batcher's ``stop`` predicate + :meth:`MicroBatcher.kick`).
   Replica counts are exported on the
   ``repro_serve_fleet_replicas{model=...}`` gauge.
-
-The fleet is thread-mode only: ``worker_mode="process"`` implies one
-:class:`~repro.serve.WorkerPool` per model, which defeats the shared
-substrate — see ROADMAP for the shared multi-model pool.
+- **Process mode** (``policy.worker_mode="process"``): the model's
+  batches execute in a :class:`~repro.serve.WorkerPool` of forked
+  worker processes over shared-memory weights, bitwise-identical to
+  thread mode for the same ``(image, bucket)``.  The pool forks before
+  any dispatcher thread exists and has a fixed size, so a process-mode
+  server serves exactly one model (a second :meth:`register` raises)
+  and takes no autoscaler.
 """
 
 from __future__ import annotations
@@ -77,6 +82,8 @@ from repro.serve.admission import AdmissionController
 from repro.serve.batcher import MicroBatcher, Request, ServeRequest, complete_batch
 from repro.serve.cache import PlanCache
 from repro.serve.config import AutoscalerConfig, ServeConfig
+from repro.serve.policy import clamp_replicas
+from repro.serve.workers import WorkerPool
 
 __all__ = ["FleetServer", "ModelSpec"]
 
@@ -84,6 +91,8 @@ __all__ = ["FleetServer", "ModelSpec"]
 _SERVED = obs.counter("repro_serve_requests_served_total")
 _BATCHES = obs.counter("repro_serve_batches_total")
 _BATCH_SIZE = obs.histogram("repro_serve_batch_size")
+_QUEUE_WAIT = obs.histogram("repro_serve_queue_wait_seconds")
+_E2E = obs.histogram("repro_serve_e2e_latency_seconds")
 _BUDGET_MISSED = obs.counter("repro_serve_fleet_budget_missed_total")
 _SCALE_UP = obs.counter("repro_serve_fleet_scale_up_total")
 _SCALE_DOWN = obs.counter("repro_serve_fleet_scale_down_total")
@@ -109,6 +118,7 @@ class _ModelUnit:
         self.spec = spec
         self.batcher = batcher
         self.target = target  # desired replica count (autoscaler-owned)
+        self.pool: WorkerPool | None = None  # process mode: runs every batch
         self.lock = threading.Lock()
         self.workers: dict[int, threading.Thread] = {}
         self.idle_ticks = 0
@@ -146,16 +156,21 @@ class FleetServer:
     config:
         The consolidated :class:`~repro.serve.ServeConfig`.
         ``config.policy`` applies per model (batch size, queue depth,
-        initial replicas); ``config.admission`` is enforced fleet-wide;
-        ``config.autoscaler`` bounds per-model replica counts (absent →
-        replicas pinned at ``policy.replicas``).
+        initial replicas, worker mode); ``config.admission`` is enforced
+        fleet-wide; ``config.autoscaler`` bounds per-model replica
+        counts (absent → replicas pinned at ``policy.replicas``).
+        ``policy.replicas`` is clamped to the usable core count
+        (``config.cpus`` overrides detection); the server stores the
+        *effective* config as ``self.config``.
     clock:
         Injectable monotonic clock shared by every queue and token
         bucket (tests step it deterministically).
 
     Models are added with :meth:`register`; requests enter through
     :meth:`submit` and resolve to :class:`~repro.serve.ServeResponse`.
-    Use as a context manager or call :meth:`close` (graceful drain).
+    ``input_shape`` is the one image shape every model serves (``None``
+    until the first registration).  Use as a context manager or call
+    :meth:`close` (graceful drain).
     """
 
     def __init__(
@@ -165,11 +180,17 @@ class FleetServer:
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         config = config or ServeConfig()
-        if config.policy.worker_mode != "thread":
+        if config.policy.worker_mode == "process" and config.autoscaler is not None:
             raise ValueError(
-                "FleetServer is thread-mode only (a per-model WorkerPool would "
-                "defeat the shared cache substrate); got "
-                f"worker_mode={config.policy.worker_mode!r}"
+                "worker_mode='process' runs a fixed-size WorkerPool; it takes "
+                "no autoscaler"
+            )
+        # Oversubscription never adds throughput; clamp (with an obs
+        # warning) rather than silently time-slicing cores.
+        replicas = clamp_replicas(config.policy.replicas, cpus=config.cpus)
+        if replicas != config.policy.replicas:
+            config = config.with_overrides(
+                policy=config.policy.with_overrides(replicas=replicas)
             )
         self.config = config
         self.policy = config.policy
@@ -183,7 +204,7 @@ class FleetServer:
         )
         self._units: dict[str, _ModelUnit] = {}
         self._registry_lock = threading.Lock()
-        self._input_shape: tuple | None = None
+        self.input_shape: tuple | None = None
         self._closed = False
         self._close_lock = threading.Lock()
         self.scale_events: list[dict] = []
@@ -223,6 +244,9 @@ class FleetServer:
 
         Warms the shared cache for the model's initial replicas when
         ``config.warm`` (the default), then starts its worker threads.
+        In process mode the model's :class:`~repro.serve.WorkerPool`
+        forks first (its workers warm their own arenas; the shared
+        cache stays cold), and only one model may be registered.
         """
         if latency_ms is not None:
             table = dict(latency_ms)
@@ -232,17 +256,23 @@ class FleetServer:
             table = latency_table(graph)
         else:
             table = {"mean": 0.0}
+        process = self.policy.worker_mode == "process"
         with self._registry_lock:
             if self._closed:
                 raise RuntimeError("FleetServer is closed")
             if name in self._units:
                 raise ValueError(f"model {name!r} already registered")
-            if self._input_shape is None:
-                self._input_shape = plan.input_shape
-            elif plan.input_shape != self._input_shape:
+            if process and self._units:
+                raise ValueError(
+                    "worker_mode='process' serves one model per server; "
+                    f"{sorted(self._units)} is already registered"
+                )
+            if self.input_shape is None:
+                self.input_shape = plan.input_shape
+            elif plan.input_shape != self.input_shape:
                 raise ValueError(
                     f"model {name!r} input shape {plan.input_shape} differs from "
-                    f"the fleet's {self._input_shape}; one fleet serves one "
+                    f"the fleet's {self.input_shape}; one fleet serves one "
                     f"input spec"
                 )
             fingerprint = self.cache.register(plan)
@@ -260,8 +290,13 @@ class FleetServer:
                 admission=self.admission,
             )
             unit = _ModelUnit(spec, batcher, target=self._initial_replicas())
+            if process:
+                # Fork before this model's dispatcher threads exist.
+                unit.pool = WorkerPool(
+                    plan, workers=unit.target, max_batch_size=self.policy.max_batch_size
+                )
             self._units[name] = unit
-        if self.config.warm and unit.target > 0:
+        if self.config.warm and not process and unit.target > 0:
             self.cache.warm(fingerprint, replicas=unit.target)
         with unit.lock:
             self._ensure_workers_locked(unit)
@@ -279,9 +314,9 @@ class FleetServer:
         x = np.asarray(x, dtype=np.float32)
         if x.ndim == 4 and x.shape[0] == 1:
             x = x[0]
-        if self._input_shape is not None and x.shape != self._input_shape:
+        if self.input_shape is not None and x.shape != self.input_shape:
             raise ValueError(
-                f"expected one image of shape {self._input_shape}, got {x.shape}"
+                f"expected one image of shape {self.input_shape}, got {x.shape}"
             )
         return x
 
@@ -342,22 +377,19 @@ class FleetServer:
         """Route and queue one request; the future resolves to a
         :class:`~repro.serve.ServeResponse`.
 
-        Raises :class:`~repro.latency.NoFeasibleModel` (accuracy floor
+        The image may be ``(C, H, W)`` or ``(1, C, H, W)`` and must match
+        ``input_shape`` (``ValueError`` otherwise).  Raises
+        :class:`~repro.latency.NoFeasibleModel` (accuracy floor
         unsatisfiable), ``KeyError`` (unknown model hint),
-        :class:`~repro.serve.TenantOverloaded` (admission), or
-        :class:`~repro.serve.ServerOverloaded` (queue depth).
+        :class:`~repro.serve.TenantOverloaded` (admission),
+        :class:`~repro.serve.ServerOverloaded` (queue depth), or
+        ``RuntimeError`` once the server is closed.
         """
         request.image = self._validate_image(request.image)
         selection = self.route(request)
         unit = self._units[selection.name]
         future = unit.batcher.submit_request(
-            request,
-            wants_response=True,
-            meta={
-                "model": selection.name,
-                "predicted_ms": selection.predicted_ms,
-                "fits_budget": selection.fits_budget,
-            },
+            request, meta={"predicted_ms": selection.predicted_ms}
         )
         # Count routing only after admission accepted the request.
         with unit.lock:
@@ -405,21 +437,27 @@ class FleetServer:
     def _execute(self, unit: _ModelUnit, batch: list[Request]) -> None:
         n = len(batch)
         started = time.monotonic()
-        images = [r.x for r in batch]
-        bucket = self.cache.bucket_for(n)
-        entry = self.cache.acquire(unit.spec.fingerprint, bucket)
+        images = [r.request.image for r in batch]
         try:
-            out = entry.run_padded(images)
+            if unit.pool is not None:
+                out = unit.pool.run_batch(images)
+            else:
+                entry = self.cache.acquire(unit.spec.fingerprint, self.cache.bucket_for(n))
+                try:
+                    out = entry.run_padded(images)
+                finally:
+                    self.cache.release(entry)
         except BaseException as exc:  # route the failure, don't kill the worker
-            self.cache.release(entry)
             for r in batch:
                 r.future.set_exception(exc)
             return
-        self.cache.release(entry)
         done = time.monotonic()
         _BATCHES.inc()
         _SERVED.inc(n)
         _BATCH_SIZE.observe(n)
+        for r in batch:
+            _QUEUE_WAIT.observe(started - r.enqueued_at)
+            _E2E.observe(done - r.enqueued_at)
         attained, missed = complete_batch(
             batch, out, model=unit.spec.name, started=started, finished=done
         )
@@ -519,7 +557,8 @@ class FleetServer:
     # -- lifecycle -------------------------------------------------------------
 
     def close(self, timeout: float | None = 30.0) -> None:
-        """Graceful drain: stop intake, serve every queue, join workers."""
+        """Graceful drain: stop intake, serve every queue, join workers,
+        then stop any worker processes."""
         with self._close_lock:
             if self._closed:
                 return
@@ -532,14 +571,13 @@ class FleetServer:
         for unit in units:
             unit.batcher.close()
         for unit in units:
-            while True:
-                with unit.lock:
-                    threads = list(unit.workers.values())
-                if not threads:
-                    break
-                for t in threads:
-                    t.join(timeout=timeout)
-                break
+            with unit.lock:
+                threads = list(unit.workers.values())
+            for t in threads:
+                t.join(timeout=timeout)
+            # Dispatchers are drained; no batch is in flight on the pool.
+            if unit.pool is not None:
+                unit.pool.close(timeout=timeout)
 
     def __enter__(self) -> "FleetServer":
         return self
@@ -551,8 +589,24 @@ class FleetServer:
     def closed(self) -> bool:
         return self._closed
 
+    @property
+    def batches_executed(self) -> int:
+        """Batches completed so far, summed over models."""
+        with self._registry_lock:
+            units = list(self._units.values())
+        return sum(unit.batches_executed for unit in units)
+
     def stats(self) -> dict:
-        """Fleet-wide counters: per-model serving/routing/SLO + admission."""
+        """Fleet-wide totals at the top level, per-model detail below it.
+
+        Top level: ``submitted``, ``rejected``, ``expired`` and
+        ``batches_executed`` summed over models, ``worker_mode``, the
+        shared :class:`~repro.serve.PlanCache` counters and, in process
+        mode, the :class:`~repro.serve.WorkerPool` counters.  Below:
+        ``models`` (per-model serving, routing, SLO and replica
+        counters), ``scale_events`` and, with admission control,
+        ``admission``.
+        """
         with self._registry_lock:
             units = dict(self._units)
         per_model = {}
@@ -572,10 +626,17 @@ class FleetServer:
                     "predicted_mean_ms": unit.spec.candidate.latency_ms.get("mean"),
                 }
         out = {
-            "models": per_model,
-            "scale_events": list(self.scale_events),
-            "cache": self.cache.stats(),
+            **self.cache.stats(),
+            **{key: sum(m[key] for m in per_model.values())
+               for key in ("submitted", "rejected", "expired", "batches_executed")},
+            "worker_mode": self.policy.worker_mode,
         }
+        for unit in units.values():
+            if unit.pool is not None:
+                out.update(unit.pool.stats())
+        # The per-model table replaces the cache's model count.
+        out["models"] = per_model
+        out["scale_events"] = list(self.scale_events)
         if self.admission is not None:
             out["admission"] = self.admission.stats()
         return out

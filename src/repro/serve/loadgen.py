@@ -1,6 +1,7 @@
 """Load generation and throughput reporting for the serving tier.
 
-Two modes over one :class:`~repro.serve.PlanServer`:
+Two modes over one :class:`~repro.serve.PlanServer` (any
+:class:`~repro.serve.FleetServer` works; each plain request is routed):
 
 - **closed loop** (default) — each client submits, waits for its result,
   and immediately submits again; concurrency equals the client count.
@@ -25,7 +26,6 @@ from repro.deploy.plan import InferencePlan
 from repro.parallel.executor import ThreadPoolExecutorBackend
 from repro.serve.batcher import DeadlineExceeded, ServeRequest, ServerOverloaded
 from repro.serve.fleet import FleetServer
-from repro.serve.server import PlanServer
 
 __all__ = [
     "FleetLoadReport",
@@ -95,7 +95,7 @@ class LoadReport:
 
 
 def run_load(
-    server: PlanServer,
+    server: FleetServer,
     duration_s: float = 2.0,
     clients: int = 8,
     arrival_rate_ips: float | None = None,
@@ -107,7 +107,8 @@ def run_load(
     Parameters
     ----------
     server:
-        A running :class:`~repro.serve.PlanServer` (left open on return).
+        A running :class:`~repro.serve.PlanServer` (left open on return);
+        each client submits ``ServeRequest(image=x)``.
     duration_s:
         Wall-clock run length; in-flight requests at the deadline are
         still awaited (they count toward latency, not throughput).
@@ -126,7 +127,7 @@ def run_load(
         raise ValueError(f"clients must be >= 1, got {clients}")
     if duration_s <= 0:
         raise ValueError(f"duration_s must be > 0, got {duration_s}")
-    shape = server.plan.input_shape
+    shape = server.input_shape
     # Executed-batch delta gives the mean effective batch size; the
     # server counts batches directly in both worker modes (the plan
     # cache only sees thread-mode checkouts).
@@ -151,7 +152,7 @@ def run_load(
                 next_send += period
             t0 = time.monotonic()
             try:
-                fut = server.submit(x)
+                fut = server.submit(ServeRequest(image=x))
             except ServerOverloaded:
                 rejected += 1
                 time.sleep(min(0.001, duration_s / 100))
@@ -342,7 +343,7 @@ def run_fleet_load(
         raise ValueError("need at least one TenantLoad")
     if duration_s <= 0:
         raise ValueError(f"duration_s must be > 0, got {duration_s}")
-    shape = fleet._input_shape
+    shape = fleet.input_shape
     if shape is None:
         raise RuntimeError("fleet has no registered models")
 

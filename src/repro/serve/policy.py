@@ -57,13 +57,13 @@ class BatchPolicy:
         before the batcher flushes a partial batch.  This bounds the
         batching contribution to tail latency.
     max_queue_depth:
-        Backpressure high-water mark: :meth:`MicroBatcher.submit`
+        Backpressure high-water mark: :meth:`MicroBatcher.submit_request`
         raises :class:`~repro.serve.ServerOverloaded` once this many
         requests are already queued, shedding load instead of growing
         an unbounded queue.
     replicas:
         Plan replicas (worker threads or processes) executing batches
-        concurrently.  :class:`~repro.serve.PlanServer` clamps this to
+        concurrently.  :class:`~repro.serve.FleetServer` clamps this to
         the usable core count at startup (see :func:`clamp_replicas`).
     worker_mode:
         ``"thread"`` (default) runs replicas as threads sharing weight

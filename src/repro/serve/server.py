@@ -1,301 +1,42 @@
-"""The serving tier: micro-batcher + plan replicas + bucketed cache.
+"""Single-model serving: the one-point Pareto front.
 
-:class:`PlanServer` wires the pieces of :mod:`repro.serve` into a
-throughput-oriented inference server over one compiled model:
+:class:`PlanServer` is a :class:`~repro.serve.FleetServer` with exactly
+one model registered under the plan's name, so one server class owns
+the request path — image validation, routing, micro-batching, batch
+execution (thread replicas over the shared
+:class:`~repro.serve.PlanCache`, or a :class:`~repro.serve.WorkerPool`
+of worker processes under ``policy.worker_mode="process"``), graceful
+drain and ``stats()``:
 
 .. code-block:: text
 
-    submit(img) ──► MicroBatcher (priority/FIFO, deadline flush,
-                        │          per-tenant admission)
-                        │ batches (≤ max_batch_size)
-          worker 0 ◄────┼────► worker N-1          (policy.replicas)
-                        │
-                 PlanCache.acquire(fingerprint, bucket)
-                        │  pad → InferencePlan.run → slice
-                 future.set_result(row | ServeResponse)
-
-Each worker owns whatever replica it checked out for the batch's
-bucket, so plans are never shared between threads
-(:class:`~repro.deploy.ConcurrentPlanError` guards direct misuse) and
-the weights exist once regardless of replica count.
-
-Construction takes one :class:`~repro.serve.ServeConfig`; the legacy
-``PlanServer(plan, policy=..., warm=..., cpus=...)`` spelling keeps
-working through a deprecation shim that ticks the
-``repro_serve_deprecated_api_total`` obs counter instead of spamming
-warnings.  The canonical request object is
-:class:`~repro.serve.ServeRequest` via :meth:`PlanServer.submit_request`;
-``submit(ndarray)``/``infer`` remain as documented thin adapters.
-
-For multi-model routing over a shared cache, see
-:class:`repro.serve.FleetServer`.
+    server = PlanServer(plan, ServeConfig(policy=BatchPolicy(...)))
+    response = server.submit(ServeRequest(image=x)).result()
+    response.row, response.model == plan.name, response.queue_ms, ...
 """
 
 from __future__ import annotations
 
-import threading
-import time
-from concurrent.futures import Future
-
-import numpy as np
-
-import repro.obs as obs
-
 from repro.deploy.plan import InferencePlan
-from repro.serve.admission import AdmissionController
-from repro.serve.batcher import MicroBatcher, Request, ServeRequest, complete_batch
-from repro.serve.cache import PlanCache
 from repro.serve.config import ServeConfig
-from repro.serve.policy import BatchPolicy, clamp_replicas
-from repro.serve.workers import WorkerPool
+from repro.serve.fleet import FleetServer
 
 __all__ = ["PlanServer"]
 
-# Cached observability handles (no-ops until ``repro.obs.configure``).
-_SERVED = obs.counter("repro_serve_requests_served_total")
-_BATCHES = obs.counter("repro_serve_batches_total")
-_BATCH_SIZE = obs.histogram("repro_serve_batch_size")
-_QUEUE_WAIT = obs.histogram("repro_serve_queue_wait_seconds")
-_E2E = obs.histogram("repro_serve_e2e_latency_seconds")
-_DEPRECATED = obs.counter("repro_serve_deprecated_api_total", api="PlanServer.__init__")
 
+class PlanServer(FleetServer):
+    """A :class:`~repro.serve.FleetServer` serving one compiled plan.
 
-class PlanServer:
-    """Concurrent micro-batching inference server over a compiled plan.
-
-    Parameters
-    ----------
-    plan:
-        The compiled template (:func:`repro.deploy.compile_plan` /
-        :meth:`OnnxliteRuntime.compile`); replicas are stamped from it.
-    config:
-        The consolidated :class:`~repro.serve.ServeConfig` — batching
-        policy, warm, CPU budget, and optional per-tenant admission.
-        The server stores the *effective* config (after replica
-        clamping) as ``self.config``.
-    policy, warm, cpus:
-        Deprecated constructor spelling, kept as a shim: equivalent to
-        ``config=ServeConfig(policy=..., warm=..., cpus=...)``.  Each
-        use ticks the ``repro_serve_deprecated_api_total`` obs counter
-        (label ``api="PlanServer.__init__"``).  Mixing them with
-        ``config=`` raises ``ValueError``.
-
-    ``policy.worker_mode="process"`` swaps the execution backend: the
-    same dispatcher threads pull batches, but each batch ships to a
-    :class:`~repro.serve.WorkerPool` worker process over shared-memory
-    staging rings, with the weight table published once into a
-    shared-memory segment (:mod:`repro.serve.shm`).  Results are
-    bitwise-identical to thread mode for the same (image, bucket).
-
-    Use as a context manager, or call :meth:`close` — shutdown drains
-    queued requests before workers exit.
+    ``plan`` is registered under ``plan.name`` with no latency table, so
+    every request routes to it; ``config`` is the usual
+    :class:`~repro.serve.ServeConfig`.  Everything else — ``submit``,
+    ``infer``, ``stats``, ``close``, process mode — is the fleet's.
     """
 
-    def __init__(
-        self,
-        plan: InferencePlan,
-        policy: BatchPolicy | None = None,
-        warm: bool | None = None,
-        cpus: int | None = None,
-        *,
-        config: ServeConfig | None = None,
-    ) -> None:
-        legacy = policy is not None or warm is not None or cpus is not None
-        if config is not None and legacy:
-            raise ValueError(
-                "pass either config=ServeConfig(...) or the legacy "
-                "policy/warm/cpus arguments, not both"
-            )
-        if config is None:
-            if legacy:
-                _DEPRECATED.inc()
-            config = ServeConfig(
-                policy=policy or BatchPolicy(),
-                warm=True if warm is None else warm,
-                cpus=cpus,
-            )
-        # Oversubscription never adds throughput; clamp (with an obs
-        # warning) rather than silently time-slicing cores.  ``cpus``
-        # overrides detection for deterministic tests.
-        effective = clamp_replicas(config.policy.replicas, cpus=config.cpus)
-        if effective != config.policy.replicas:
-            config = config.with_overrides(
-                policy=config.policy.with_overrides(replicas=effective)
-            )
-        self.config = config
-        self.policy = config.policy
-        self.plan = plan
-        self.admission = (
-            AdmissionController(config.admission) if config.admission else None
-        )
-        self.batcher = MicroBatcher(
-            max_batch_size=self.policy.max_batch_size,
-            max_queue_delay_ms=self.policy.max_queue_delay_ms,
-            max_queue_depth=self.policy.max_queue_depth,
-            admission=self.admission,
-        )
-        self.cache = PlanCache(max_batch_size=self.policy.max_batch_size)
-        self.fingerprint = self.cache.register(plan)
-        self._input_shape = plan.input_shape
-        self._closed = False
-        self._close_lock = threading.Lock()
-        self._batches_executed = 0
-        self._count_lock = threading.Lock()
-        # Process mode: start workers (which fork) BEFORE any dispatcher
-        # threads exist, each attaching the shared weight segment and
-        # warming its own arenas; the local cache stays cold — it only
-        # fills if the pool ever degrades to in-process execution.
-        self.pool: WorkerPool | None = None
-        if self.policy.worker_mode == "process":
-            self.pool = WorkerPool(
-                plan,
-                workers=self.policy.replicas,
-                max_batch_size=self.policy.max_batch_size,
-            )
-        elif config.warm:
-            self.cache.warm(self.fingerprint, replicas=self.policy.replicas)
-        self._workers = [
-            threading.Thread(
-                target=self._worker_loop, name=f"repro-serve-{i}", daemon=True
-            )
-            for i in range(self.policy.replicas)
-        ]
-        for t in self._workers:
-            t.start()
-
-    # -- request path ----------------------------------------------------------
-
-    def _validate_image(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float32)
-        if x.ndim == 4 and x.shape[0] == 1:
-            x = x[0]
-        if x.shape != self._input_shape:
-            raise ValueError(
-                f"expected one image of shape {self._input_shape}, got {x.shape}"
-            )
-        return x
-
-    def submit(self, x: np.ndarray) -> Future:
-        """Queue one image; returns a future of its logits row.
-
-        Thin adapter over the :class:`~repro.serve.ServeRequest` path —
-        equivalent to ``submit_request(ServeRequest(image=x))`` except
-        the future resolves to the bare row (the pre-request-object
-        contract).  Accepts ``(C, H, W)`` or ``(1, C, H, W)``
-        float-convertible arrays matching the plan's compiled spatial
-        shape.  Raises :class:`~repro.serve.ServerOverloaded` under
-        backpressure.
-        """
-        return self.batcher.submit(self._validate_image(x))
-
-    def submit_request(self, request: ServeRequest) -> Future:
-        """Queue one :class:`~repro.serve.ServeRequest`.
-
-        The future resolves to a :class:`~repro.serve.ServeResponse`
-        with queue/exec timings and SLO attainment; ``deadline_ms``
-        expiry fails it fast with
-        :class:`~repro.serve.DeadlineExceeded`.  Model hints and
-        budgets are accepted but ignored here — a single-model server
-        has nothing to route; use :class:`repro.serve.FleetServer` for
-        that.
-        """
-        request.image = self._validate_image(request.image)
-        return self.batcher.submit_request(request, wants_response=True)
-
-    def infer(self, x: np.ndarray) -> np.ndarray:
-        """Synchronous convenience adapter: submit one image and wait."""
-        return self.submit(x).result()
-
-    # -- worker loop -----------------------------------------------------------
-
-    def _worker_loop(self) -> None:
-        while True:
-            batch = self.batcher.next_batch()
-            if batch is None:
-                return
-            self._execute(batch)
-
-    def _execute(self, batch: list[Request]) -> None:
-        n = len(batch)
-        started = time.monotonic()
-        images = [r.x for r in batch]
-        if self.pool is not None:
-            try:
-                out = self.pool.run_batch(images)
-            except BaseException as exc:  # route the failure, don't kill the worker
-                for r in batch:
-                    r.future.set_exception(exc)
-                return
-        else:
-            bucket = self.cache.bucket_for(n)
-            entry = self.cache.acquire(self.fingerprint, bucket)
-            try:
-                out = entry.run_padded(images)
-            except BaseException as exc:  # route the failure, don't kill the worker
-                self.cache.release(entry)
-                for r in batch:
-                    r.future.set_exception(exc)
-                return
-            self.cache.release(entry)
-        done = time.monotonic()
-        with self._count_lock:
-            self._batches_executed += 1
-        _BATCHES.inc()
-        _SERVED.inc(n)
-        _BATCH_SIZE.observe(n)
-        for r in batch:
-            _QUEUE_WAIT.observe(started - r.enqueued_at)
-            _E2E.observe(done - r.enqueued_at)
-        # Each future gets an independent copy so callers can't alias
-        # each other through the shared output block.
-        complete_batch(batch, out, model=self.plan.name, started=started, finished=done)
-
-    # -- lifecycle -------------------------------------------------------------
-
-    def close(self, timeout: float | None = 30.0) -> None:
-        """Graceful drain: stop intake, serve the queue, join workers."""
-        with self._close_lock:
-            if self._closed:
-                return
-            self._closed = True
-        self.batcher.close()
-        for t in self._workers:
-            t.join(timeout=timeout)
-        # Dispatchers are drained; no batch is in flight on the pool.
-        if self.pool is not None:
-            self.pool.close(timeout=timeout)
-
-    def __enter__(self) -> "PlanServer":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    @property
-    def batches_executed(self) -> int:
-        """Batches completed so far (thread and process mode alike)."""
-        with self._count_lock:
-            return self._batches_executed
-
-    def stats(self) -> dict[str, int]:
-        """Counters for reports: submitted/rejected plus cache/pool stats."""
-        out = {
-            "submitted": self.batcher.submitted,
-            "rejected": self.batcher.rejected,
-            "expired": self.batcher.expired,
-            "batches_executed": self.batches_executed,
-            "worker_mode": self.policy.worker_mode,
-            **self.cache.stats(),
-        }
-        if self.pool is not None:
-            out.update(self.pool.stats())
-        return out
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (f"PlanServer(model={self.plan.name!r}, replicas={self.policy.replicas}, "
-                f"mode={self.policy.worker_mode!r}, "
-                f"max_batch={self.policy.max_batch_size}, closed={self._closed})")
+    def __init__(self, plan: InferencePlan, config: ServeConfig | None = None) -> None:
+        super().__init__(config)
+        try:
+            self.register(plan.name, plan)
+        except BaseException:
+            self.close()
+            raise

@@ -22,8 +22,10 @@ not treated as deaths.
 BLAS oversubscription: each worker pins its BLAS pool to
 ``blas_threads`` (default 1) — N workers x M BLAS threads would
 otherwise thrash a machine with N*M runnable threads.  Env vars cover
-spawn-started workers; an ``openblas_set_num_threads`` ctypes call
-covers fork-started ones, where the already-loaded BLAS ignores the
+spawn-started workers; a ctypes call to the loaded OpenBLAS's
+thread-count setter (``openblas_set_num_threads`` or, in NumPy's
+bundled scipy-openblas, ``scipy_openblas_set_num_threads64_``) covers
+fork-started ones, where the already-loaded BLAS ignores the
 environment.
 
 Observability stitches across pids with the PR 4 machinery: the pool
@@ -73,6 +75,16 @@ _BLAS_ENV = (
     "MKL_NUM_THREADS",
     "VECLIB_MAXIMUM_THREADS",
     "NUMEXPR_NUM_THREADS",
+)
+
+#: OpenBLAS thread-count setters: the reference names, the ILP64 build's
+#: and the prefixed names of the scipy-openblas library NumPy wheels
+#: bundle.
+_OPENBLAS_SET_THREADS = (
+    "openblas_set_num_threads",
+    "openblas_set_num_threads64_",
+    "scipy_openblas_set_num_threads",
+    "scipy_openblas_set_num_threads64_",
 )
 
 _ALIGN = 64
@@ -135,9 +147,11 @@ def _limit_loaded_blas(threads: int) -> None:
                     continue
                 seen.add(path)
                 lib = ctypes.CDLL(path)
-                for sym in ("openblas_set_num_threads", "openblas_set_num_threads64_"):
+                for sym in _OPENBLAS_SET_THREADS:
                     fn = getattr(lib, sym, None)
                     if fn is not None:
+                        fn.argtypes = [ctypes.c_int]
+                        fn.restype = None
                         fn(int(threads))
                         break
     except Exception:  # noqa: BLE001 - strictly best-effort

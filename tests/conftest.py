@@ -1,12 +1,57 @@
-"""Shared fixtures: tiny datasets, canonical configs, seeded RNGs."""
+"""Shared fixtures: tiny datasets, canonical configs, seeded RNGs, leak audit."""
 
 from __future__ import annotations
+
+import multiprocessing
+import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.data.dataset import DrainageCrossingDataset
 from repro.nas.config import ModelConfig
+
+#: How long a test's server threads and worker processes get to finish
+#: exiting before the leak audit counts them as leaked.
+LEAK_GRACE_S = 2.0
+_SHM_DIR = Path("/dev/shm")
+
+
+def _shm_segments() -> set[str]:
+    """Names of the POSIX shared-memory segments Python created (psm_*)."""
+    return {p.name for p in _SHM_DIR.glob("psm_*")} if _SHM_DIR.is_dir() else set()
+
+
+def _leaks(segments_before: set[str]) -> dict[str, list]:
+    threads = [t.name for t in threading.enumerate()
+               if t.name.startswith("repro-fleet-") and t.is_alive()]
+    return {
+        "shared-memory segments": sorted(_shm_segments() - segments_before),
+        # active_children() also reaps children that already exited.
+        "child processes": [p.name for p in multiprocessing.active_children()],
+        "server threads": threads,
+    }
+
+
+@pytest.fixture()
+def leak_audit():
+    """Fail a test that leaves shared memory, child processes or server
+    threads behind.
+
+    Serving tests opt in through ``pytestmark``.  After a short grace for
+    joins in flight, any new ``/dev/shm/psm_*`` segment, live
+    ``multiprocessing`` child, or live dispatcher/autoscaler thread
+    (named ``repro-fleet-*``) is a leak.
+    """
+    before = _shm_segments()
+    yield
+    deadline = time.monotonic() + LEAK_GRACE_S
+    while any((leaks := _leaks(before)).values()) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    leaked = {kind: names for kind, names in leaks.items() if names}
+    assert not leaked, f"test leaked {leaked}"
 
 
 @pytest.fixture()

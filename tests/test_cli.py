@@ -85,7 +85,8 @@ class TestCommands:
         out = tmp_path / "serving.json"
         code = main([
             "serve-bench", "--size", "24", "--duration", "0.4", "--clients", "8",
-            "--max-batch", "4", "--max-delay-ms", "2", "--queue-depth", "32",
+            "--policy.max-batch-size", "4", "--policy.max-queue-delay-ms", "2",
+            "--policy.max-queue-depth", "32",
             "--json", str(out),
             "--kernel-size", "3", "--padding", "1", "--pool-choice", "0",
             "--initial-output-feature", "32",
@@ -117,7 +118,8 @@ class TestCommands:
         table = tmp_path / "autotune_table.json"
         code = main([
             "serve-bench", "--duration", "0.4", "--clients", "4",
-            "--max-batch", "4", "--max-delay-ms", "2", "--queue-depth", "32",
+            "--policy.max-batch-size", "4", "--policy.max-queue-delay-ms", "2",
+            "--policy.max-queue-depth", "32",
             "--json", str(serving), "--autotune-json", str(table), *base,
         ])
         assert code == 0
@@ -138,8 +140,9 @@ class TestCommands:
         out = tmp_path / "serving_mp.json"
         code = main([
             "serve-bench", "--size", "24", "--duration", "0.4", "--clients", "8",
-            "--max-batch", "4", "--max-delay-ms", "2", "--queue-depth", "32",
-            "--worker-mode", "process", "--workers", "2",
+            "--policy.max-batch-size", "4", "--policy.max-queue-delay-ms", "2",
+            "--policy.max-queue-depth", "32",
+            "--policy.worker-mode", "process", "--policy.replicas", "2",
             "--json", str(out),
             "--kernel-size", "3", "--padding", "1", "--pool-choice", "0",
             "--initial-output-feature", "32",
@@ -171,25 +174,6 @@ class TestCommands:
         ])
         assert code == 0
         assert "policy seeded from latency predictors" in capsys.readouterr().out
-
-    def test_serve_bench_dotted_policy_flags_alias_old_spellings(self):
-        from repro.cli import build_parser
-
-        parser = build_parser()
-        dotted = parser.parse_args([
-            "serve-bench", "--policy.max-batch-size", "4",
-            "--policy.max-queue-delay-ms", "2", "--policy.max-queue-depth", "32",
-            "--policy.replicas", "2", "--policy.worker-mode", "thread",
-            "--policy.workers", "0",
-        ])
-        legacy = parser.parse_args([
-            "serve-bench", "--max-batch", "4", "--max-delay-ms", "2",
-            "--queue-depth", "32", "--replicas", "2", "--worker-mode", "thread",
-            "--workers", "0",
-        ])
-        for dest in ("max_batch", "max_delay_ms", "queue_depth", "replicas",
-                     "worker_mode", "workers"):
-            assert getattr(dotted, dest) == getattr(legacy, dest)
 
     def test_serve_bench_json_records_resolved_serve_config(self, tmp_path):
         out = tmp_path / "serving.json"

@@ -242,7 +242,7 @@ class TestProcessServingObs:
         from repro.deploy import load_runtime
         from repro.nn import SearchableResNet18
         from repro.onnxlite.export import export_model
-        from repro.serve import BatchPolicy, PlanServer
+        from repro.serve import BatchPolicy, PlanServer, ServeConfig, ServeRequest
 
         model = SearchableResNet18(in_channels=5, kernel_size=3, stride=2,
                                    padding=1, pool_choice=0,
@@ -257,8 +257,8 @@ class TestProcessServingObs:
                              worker_mode="process")
         try:
             with obs.span("serve.session") as parent:
-                with PlanServer(plan, policy=policy, cpus=1) as server:
-                    rows = [server.infer(img) for img in images]
+                with PlanServer(plan, ServeConfig(policy=policy, cpus=1)) as server:
+                    rows = [server.infer(ServeRequest(image=img)).row for img in images]
             obs.flush()
         finally:
             obs.shutdown()

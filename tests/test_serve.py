@@ -22,10 +22,16 @@ Covers the four contracts the serving tier rests on:
    zero-copy (``private_bytes == 0``), worker processes compute
    bitwise-identically to thread replicas for the same (image, bucket),
    dead workers respawn (and the pool degrades to in-process execution
-   after repeated deaths), and fork inherits neither warm cache entries
-   nor the template plan's run guard.
+   after repeated deaths), fork inherits neither warm cache entries
+   nor the template plan's run guard, and forked workers pin the
+   already-loaded BLAS to one thread.
+
+Every test runs under the ``leak_audit`` fixture: no shared-memory
+segment, child process or server thread may outlive it.
 """
 
+import ctypes
+import multiprocessing
 import os
 import pickle
 import signal
@@ -47,6 +53,8 @@ from repro.serve import (
     MicroBatcher,
     PlanCache,
     PlanServer,
+    ServeConfig,
+    ServeRequest,
     ServerOverloaded,
     WorkerPool,
     attach_plan,
@@ -60,6 +68,9 @@ from repro.serve import (
     suggest_batch_policy,
     suggest_max_batch_size,
 )
+from repro.serve.workers import _limit_loaded_blas
+
+pytestmark = pytest.mark.usefixtures("leak_audit")
 
 ATOL = 1e-4
 RTOL = 1e-3
@@ -86,6 +97,15 @@ def _images(n: int, seed: int = 0) -> np.ndarray:
     return rng.standard_normal((n, 5, HW, HW)).astype(np.float32)
 
 
+def _submit(batcher: MicroBatcher, image):
+    return batcher.submit_request(ServeRequest(image=image))
+
+
+def _row(server: PlanServer, image) -> np.ndarray:
+    """Serve one image and wait for its logits row."""
+    return server.infer(ServeRequest(image=image)).row
+
+
 # --------------------------------------------------------------------------
 # micro-batcher
 # --------------------------------------------------------------------------
@@ -94,49 +114,49 @@ def _images(n: int, seed: int = 0) -> np.ndarray:
 class TestMicroBatcher:
     def test_full_batch_released_immediately(self):
         b = MicroBatcher(max_batch_size=4, max_queue_delay_ms=10_000, max_queue_depth=16)
-        futs = [b.submit(i) for i in range(4)]
+        futs = [_submit(b, i) for i in range(4)]
         t0 = time.monotonic()
         batch = b.next_batch()
         assert time.monotonic() - t0 < 1.0  # did not wait for the deadline
-        assert [r.x for r in batch] == [0, 1, 2, 3]
+        assert [r.request.image for r in batch] == [0, 1, 2, 3]
         assert all(not f.done() for f in futs)
 
     def test_deadline_flushes_partial_batch(self):
         b = MicroBatcher(max_batch_size=8, max_queue_delay_ms=30, max_queue_depth=16)
         for i in range(3):
-            b.submit(i)
+            _submit(b, i)
         t0 = time.monotonic()
         batch = b.next_batch()
         waited = time.monotonic() - t0
-        assert [r.x for r in batch] == [0, 1, 2]
+        assert [r.request.image for r in batch] == [0, 1, 2]
         assert waited >= 0.02  # held for (close to) the deadline...
         assert waited < 5.0    # ...but not forever
 
     def test_overload_rejection_and_counters(self):
         b = MicroBatcher(max_batch_size=2, max_queue_delay_ms=1000, max_queue_depth=3)
         for i in range(3):
-            b.submit(i)
+            _submit(b, i)
         with pytest.raises(ServerOverloaded):
-            b.submit(99)
+            _submit(b, 99)
         assert b.submitted == 3
         assert b.rejected == 1
         assert b.depth == 3
         # Consuming a batch frees capacity again.
         b.next_batch()
-        b.submit(100)
+        _submit(b, 100)
         assert b.submitted == 4
 
     def test_drain_ordering_and_close_semantics(self):
         b = MicroBatcher(max_batch_size=4, max_queue_delay_ms=10_000, max_queue_depth=64)
         for i in range(10):
-            b.submit(i)
+            _submit(b, i)
         b.close()
         with pytest.raises(RuntimeError, match="closed"):
-            b.submit(11)
+            _submit(b, 11)
         drained = []
         sizes = []
         while (batch := b.next_batch()) is not None:
-            drained.extend(r.x for r in batch)
+            drained.extend(r.request.image for r in batch)
             sizes.append(len(batch))
         # FIFO across batches, full batches first, remainder flushed last.
         assert drained == list(range(10))
@@ -149,10 +169,10 @@ class TestMicroBatcher:
         t = threading.Thread(target=lambda: out.append(b.next_batch()))
         t.start()
         time.sleep(0.05)
-        b.submit("x")
+        _submit(b, "x")
         t.join(timeout=5)
         assert not t.is_alive()
-        assert [r.x for r in out[0]] == ["x"]
+        assert [r.request.image for r in out[0]] == ["x"]
 
 
 # --------------------------------------------------------------------------
@@ -400,9 +420,9 @@ class TestPlanServer:
                              max_queue_depth=256, replicas=3)
         images = _images(48, seed=11)
         refs = runtime.run(images)
-        with PlanServer(plan, policy=policy) as server:
+        with PlanServer(plan, ServeConfig(policy=policy)) as server:
             def one(i: int) -> np.ndarray:
-                return server.infer(images[i])
+                return _row(server, images[i])
 
             with make_executor("thread", workers=12) as pool:
                 outs = pool.map(one, list(range(48)))
@@ -415,28 +435,28 @@ class TestPlanServer:
         assert (d.argmin(axis=1) == np.arange(48)).all()
 
     def test_input_validation_and_shapes(self, plan):
-        with PlanServer(plan, warm=False) as server:
+        with PlanServer(plan, ServeConfig(warm=False)) as server:
             img = _images(1)[0]
-            assert server.infer(img).shape == (2,)
-            assert server.infer(img[None]).shape == (2,)  # (1, C, H, W) ok
+            assert _row(server, img).shape == (2,)
+            assert _row(server, img[None]).shape == (2,)  # (1, C, H, W) ok
             with pytest.raises(ValueError, match="one image"):
-                server.submit(_images(2))
+                server.submit(ServeRequest(image=_images(2)))
 
     def test_drain_serves_queued_requests_on_close(self, plan):
         policy = BatchPolicy(max_batch_size=4, max_queue_delay_ms=50.0,
                              max_queue_depth=64, replicas=1)
-        server = PlanServer(plan, policy=policy)
-        futs = [server.submit(img) for img in _images(10, seed=5)]
+        server = PlanServer(plan, ServeConfig(policy=policy))
+        futs = [server.submit(ServeRequest(image=img)) for img in _images(10, seed=5)]
         server.close()
-        assert all(f.result(timeout=10).shape == (2,) for f in futs)
+        assert all(f.result(timeout=10).row.shape == (2,) for f in futs)
         with pytest.raises(RuntimeError, match="closed"):
-            server.submit(_images(1)[0])
+            server.submit(ServeRequest(image=_images(1)[0]))
         server.close()  # idempotent
 
     def test_load_generator_round_trip(self, plan):
         policy = BatchPolicy(max_batch_size=8, max_queue_delay_ms=2.0,
                              max_queue_depth=64, replicas=1)
-        with PlanServer(plan, policy=policy) as server:
+        with PlanServer(plan, ServeConfig(policy=policy)) as server:
             report = run_load(server, duration_s=0.4, clients=8, seed=1)
         assert report.served > 0
         assert report.errors == 0
@@ -452,7 +472,7 @@ class TestPlanServer:
     def test_open_loop_rate_limits_submissions(self, plan):
         policy = BatchPolicy(max_batch_size=4, max_queue_delay_ms=2.0,
                              max_queue_depth=32, replicas=1)
-        with PlanServer(plan, policy=policy) as server:
+        with PlanServer(plan, ServeConfig(policy=policy)) as server:
             report = run_load(server, duration_s=0.5, clients=2,
                               arrival_rate_ips=40.0, seed=2)
         # ~20 images in 0.5s at 40 ips; generous bounds for slow CI.
@@ -579,11 +599,11 @@ class TestProcessServer:
                   replicas=1)
         images = _images(8, seed=41)
         # Serial infer keeps every batch at bucket 1 in both modes.
-        with PlanServer(plan, policy=BatchPolicy(**kw), cpus=4) as server:
-            thread_rows = np.stack([server.infer(img) for img in images])
+        with PlanServer(plan, ServeConfig(policy=BatchPolicy(**kw), cpus=4)) as server:
+            thread_rows = np.stack([_row(server, img) for img in images])
         policy = BatchPolicy(**kw, worker_mode="process")
-        with PlanServer(plan, policy=policy, cpus=4) as server:
-            proc_rows = np.stack([server.infer(img) for img in images])
+        with PlanServer(plan, ServeConfig(policy=policy, cpus=4)) as server:
+            proc_rows = np.stack([_row(server, img) for img in images])
             stats = server.stats()
         np.testing.assert_array_equal(proc_rows, thread_rows)
         assert stats["worker_mode"] == "process"
@@ -598,9 +618,9 @@ class TestProcessServer:
                              worker_mode="process")
         images = _images(24, seed=42)
         refs = runtime.run(images)
-        with PlanServer(plan, policy=policy, cpus=2) as server:
+        with PlanServer(plan, ServeConfig(policy=policy, cpus=2)) as server:
             with make_executor("thread", workers=8) as pool:
-                outs = pool.map(lambda i: server.infer(images[i]),
+                outs = pool.map(lambda i: _row(server, images[i]),
                                 list(range(24)))
         outs = np.stack(outs)
         assert np.isfinite(outs).all()
@@ -610,13 +630,32 @@ class TestProcessServer:
 
     def test_server_clamps_oversubscribed_replicas(self, plan):
         policy = BatchPolicy(max_batch_size=2, max_queue_depth=64, replicas=64)
-        with PlanServer(plan, policy=policy, cpus=2, warm=False) as server:
+        with PlanServer(plan, ServeConfig(policy=policy, cpus=2, warm=False)) as server:
             assert server.policy.replicas == 2  # clamped before any threads
 
 
 # --------------------------------------------------------------------------
 # fork safety
 # --------------------------------------------------------------------------
+
+
+def _openblas_thread_getter():
+    """The mapped OpenBLAS's thread-count getter via ctypes, or ``None``."""
+    if not os.path.exists("/proc/self/maps"):
+        return None
+    with open("/proc/self/maps", encoding="utf-8") as fh:
+        paths = {"/" + line.rstrip("\n").partition("/")[2] for line in fh}
+    for path in sorted(p for p in paths if "openblas" in os.path.basename(p).lower()):
+        lib = ctypes.CDLL(path)
+        for sym in ("openblas_get_num_threads", "openblas_get_num_threads64_",
+                    "scipy_openblas_get_num_threads",
+                    "scipy_openblas_get_num_threads64_"):
+            fn = getattr(lib, sym, None)
+            if fn is not None:
+                fn.argtypes = []
+                fn.restype = ctypes.c_int
+                return fn
+    return None
 
 
 class TestForkSafety:
@@ -633,13 +672,36 @@ class TestForkSafety:
         policy = BatchPolicy(max_batch_size=4, max_queue_delay_ms=1.0,
                              max_queue_depth=16, replicas=1,
                              worker_mode="process")
-        with PlanServer(plan, policy=policy, cpus=1) as server:
-            assert server.infer(_images(1, seed=51)[0]).shape == (2,)
+        with PlanServer(plan, ServeConfig(policy=policy, cpus=1)) as server:
+            assert _row(server, _images(1, seed=51)[0]).shape == (2,)
             stats = server.stats()
         assert stats["pooled_entries"] == 0
         assert stats["hits"] == 0 and stats["misses"] == 0
         # ...while each worker did warm its own arenas before serving.
         assert stats["worker_private_weight_bytes"] == 0
+
+    def test_fork_child_pins_loaded_openblas(self):
+        """A forked worker inherits the parent's initialised BLAS pool, so
+        only the ctypes call can cap it; read the cap back through the
+        library's own getter."""
+        get_threads = _openblas_thread_getter()
+        if get_threads is None:
+            pytest.skip("no OpenBLAS mapped into this process")
+        ctx = multiprocessing.get_context("fork")
+        reader, writer = ctx.Pipe(duplex=False)
+
+        def pin_and_report() -> None:
+            _limit_loaded_blas(1)
+            writer.send(get_threads())
+
+        child = ctx.Process(target=pin_and_report)
+        child.start()
+        try:
+            assert reader.poll(30), "forked child never reported"
+            assert reader.recv() == 1
+        finally:
+            child.join(timeout=10)
+        assert not child.is_alive()
 
     def test_worker_warms_own_arenas_before_ready(self, plan):
         with WorkerPool(plan, workers=1, max_batch_size=4, poison=True) as pool:

@@ -9,11 +9,14 @@ Covers the multi-tenant serving fleet acceptance criteria:
   competing tenants, priority preemption ordering, deadline-expired
   requests rejected *without executing*, and bitwise-identical outputs
   for admitted requests vs a no-admission `PlanServer` run;
+- the process-mode limits: one model per server, no autoscaler;
 - the autoscaler scaling up under a load step and back down after
   drain, asserted through `repro.obs` gauges;
-- the `ServeConfig` consolidation (legacy-kwarg deprecation counter)
-  and the `MicroBatcher` condition-wakeup fix (no busy-polling while
-  idle).
+- the `ServeConfig` consolidation (effective config after replica
+  clamping) and the `MicroBatcher` condition-wakeup fix (no
+  busy-polling while idle).
+
+Every test runs under the ``leak_audit`` fixture.
 """
 
 from __future__ import annotations
@@ -52,6 +55,8 @@ from repro.serve import (
     TokenBucket,
     run_fleet_load,
 )
+
+pytestmark = pytest.mark.usefixtures("leak_audit")
 
 HW = 24  # deployment tile (fast, merged-GEMM regime)
 
@@ -223,7 +228,7 @@ class TestPriorityPreemption:
         b.close()  # drain mode: batches release immediately
         order = []
         while (batch := b.next_batch()) is not None:
-            order.append([r.x for r in batch])
+            order.append([r.request.image for r in batch])
         assert order == [
             [("high", 0), ("high", 1)],
             [("low", 0), ("low", 1)],
@@ -233,10 +238,10 @@ class TestPriorityPreemption:
     def test_default_class_preserves_pure_fifo(self):
         b = MicroBatcher(max_batch_size=3, max_queue_delay_ms=1000, max_queue_depth=16)
         for i in range(6):
-            b.submit(i)
+            b.submit_request(ServeRequest(image=i))
         b.close()
-        assert [r.x for r in b.next_batch()] == [0, 1, 2]
-        assert [r.x for r in b.next_batch()] == [3, 4, 5]
+        assert [r.request.image for r in b.next_batch()] == [0, 1, 2]
+        assert [r.request.image for r in b.next_batch()] == [3, 4, 5]
 
 
 class TestDeadlineExpiry:
@@ -249,7 +254,7 @@ class TestDeadlineExpiry:
         clock.advance(0.05)  # 50 ms >> the 10 ms SLO
         batch = b.next_batch()
         # The expired request never reaches a worker; the live one does.
-        assert [r.x for r in batch] == ["alive"]
+        assert [r.request.image for r in batch] == ["alive"]
         assert b.expired == 1
         with pytest.raises(DeadlineExceeded):
             doomed.result(timeout=1)
@@ -301,9 +306,17 @@ class TestFleetRouting:
             floor = fleet.infer(ServeRequest(image=x, accuracy_floor=92.0,
                                              budget_ms=20.0))
             pinned = fleet.infer(ServeRequest(image=x, model="mid"))
+            stats = fleet.stats()
         assert tight.model == "small" and tight.predicted_ms <= 4.0
         assert floor.model == "mid" and floor.predicted_ms <= 20.0
         assert pinned.model == "mid"
+        # Fleet-wide totals sit at the top level, per-model detail below.
+        assert stats["submitted"] == 3
+        assert stats["batches_executed"] == fleet.batches_executed == 3
+        assert stats["worker_mode"] == "thread"
+        assert {m: s["routed"] for m, s in stats["models"].items()} == {
+            "small": 1, "mid": 2}
+        assert stats["hits"] + stats["misses"] == 3
 
     def test_unsatisfiable_floor_raises_at_submit(self, plan_s, plan_m):
         with _two_model_fleet(plan_s, plan_m) as fleet:
@@ -324,9 +337,20 @@ class TestFleetRouting:
             with pytest.raises(ValueError, match="input shape"):
                 fleet.register("b", other)
 
-    def test_process_mode_is_rejected(self):
-        with pytest.raises(ValueError, match="thread-mode only"):
-            FleetServer(ServeConfig(policy=BatchPolicy(worker_mode="process")))
+    def test_process_mode_serves_one_model(self, plan_s, plan_m):
+        config = ServeConfig(policy=BatchPolicy(worker_mode="process"), cpus=1)
+        with FleetServer(config) as fleet:
+            fleet.register("small", plan_s)
+            with pytest.raises(ValueError, match="one model"):
+                fleet.register("mid", plan_m)
+            assert fleet.models == ["small"]
+            resp = fleet.infer(ServeRequest(image=_images(1)[0]))
+        assert resp.model == "small"
+
+    def test_process_mode_rejects_an_autoscaler(self):
+        with pytest.raises(ValueError, match="autoscaler"):
+            FleetServer(ServeConfig(policy=BatchPolicy(worker_mode="process"),
+                                    autoscaler=AutoscalerConfig()))
 
     def test_mixed_tenant_load_routes_and_attains_slo(self, plan_s, plan_m):
         with _two_model_fleet(plan_s, plan_m, admission=AdmissionPolicy(tenants={
@@ -374,7 +398,7 @@ class TestFleetRouting:
             ]
         with PlanServer(plan_s.replicate(),
                         config=ServeConfig(policy=policy, warm=False)) as server:
-            serial_rows = [server.infer(x) for x in images]
+            serial_rows = [server.infer(ServeRequest(image=x)).row for x in images]
         for got, want in zip(fleet_rows, serial_rows):
             np.testing.assert_array_equal(got, want)
 
@@ -484,29 +508,6 @@ class TestAutoscaler:
 
 
 class TestServeConfig:
-    def test_legacy_kwargs_tick_deprecation_counter(self, plan_s):
-        obs.configure(reset_metrics=True)
-        try:
-            before = registry().counter_value(
-                "repro_serve_deprecated_api_total", api="PlanServer.__init__")
-            with PlanServer(plan_s.replicate(), policy=BatchPolicy(), warm=False):
-                pass
-            after_legacy = registry().counter_value(
-                "repro_serve_deprecated_api_total", api="PlanServer.__init__")
-            assert after_legacy == before + 1
-            with PlanServer(plan_s.replicate(), config=ServeConfig(warm=False)):
-                pass
-            assert registry().counter_value(
-                "repro_serve_deprecated_api_total",
-                api="PlanServer.__init__") == after_legacy
-        finally:
-            obs.shutdown()
-
-    def test_config_and_legacy_kwargs_are_mutually_exclusive(self, plan_s):
-        with pytest.raises(ValueError, match="not both"):
-            PlanServer(plan_s.replicate(), policy=BatchPolicy(),
-                       config=ServeConfig())
-
     def test_effective_config_reflects_replica_clamp(self, plan_s):
         server = PlanServer(
             plan_s.replicate(),
@@ -548,7 +549,8 @@ class TestIdleCpu:
             time.sleep(0.5)
             cpu_used = time.process_time() - cpu0
             elapsed = time.monotonic() - t0
-            assert server.batcher.idle_wakeups == 0
+            [unit] = server._units.values()
+            assert unit.batcher.idle_wakeups == 0
             assert cpu_used < 0.2 * elapsed
 
     def test_consumer_still_wakes_on_submit_after_idle(self):
@@ -557,12 +559,12 @@ class TestIdleCpu:
 
         def consume():
             batch = b.next_batch()
-            got.append([r.x for r in batch])
+            got.append([r.request.image for r in batch])
 
         t = threading.Thread(target=consume, daemon=True)
         t.start()
         time.sleep(0.1)  # consumer parks on the untimed wait
-        b.submit(123)
+        b.submit_request(ServeRequest(image=123))
         t.join(timeout=5)
         assert got == [[123]]
 
