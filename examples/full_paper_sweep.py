@@ -10,7 +10,8 @@ predictors and onnxlite memory measurement, then prints:
 - Table 5 (stock ResNet-18 variants),
 - Figure 3/4 summary statistics.
 
-Takes ~1-2 minutes on one CPU core.
+Takes ~5-10 seconds on one CPU core: latency and memory are measured
+from each architecture's shapes, without drawing or serializing weights.
 
 Run:  python examples/full_paper_sweep.py [output.jsonl]
 """

@@ -190,7 +190,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     from repro.core.markdown_report import write_sweep_report
     from repro.core.pipeline import run_paper_sweep
 
-    print("running the full sweep and writing the markdown report (~2 min)...")
+    print("running the full sweep and writing the markdown report (~10 s)...")
     result = run_paper_sweep(seed=args.seed)
     size = write_sweep_report(result, args.out, include_baseline=True)
     print(f"report written to {args.out} ({size / 1e3:.1f} kB)")
@@ -200,7 +200,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     from repro.core.validation import verify_reproduction
 
-    print("running the full sweep and verifying every reproduction claim (~2 min)...")
+    print("running the full sweep and verifying every reproduction claim (~10 s)...")
     report = verify_reproduction(seed=args.seed)
     print(report.summary())
     return 0 if report.ok else 1
@@ -209,9 +209,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_energy(args: argparse.Namespace) -> int:
     from repro.graph.trace import trace_model
     from repro.latency.energy import ENERGY_MODELS, estimate_energy_mj
+    from repro.nn.init import skip_init
     from repro.nn.resnet import build_model
 
-    graph = trace_model(build_model(_config_from_args(args)), input_hw=(100, 100))
+    with skip_init():
+        model = build_model(_config_from_args(args))
+    graph = trace_model(model, input_hw=(100, 100))
     rows = [{"device": d, "energy_mj": round(estimate_energy_mj(graph, d), 3)} for d in ENERGY_MODELS]
     print(render_table(rows, title="Estimated single-inference energy (synthetic model, see docs)"))
     return 0

@@ -18,6 +18,7 @@ from repro.core.pipeline import PipelineResult
 from repro.data.dataset import CHANNEL_NAMES_5, CHANNEL_NAMES_7
 from repro.graph.trace import trace_model
 from repro.nas.searchspace import SearchSpace, DEFAULT_SPACE
+from repro.nn.init import skip_init
 from repro.nn.resnet import SearchableResNet18, build_baseline_resnet18
 from repro.pareto.normalize import normalize_minmax
 
@@ -36,7 +37,9 @@ def architecture_figure(model: SearchableResNet18 | None = None, input_hw: tuple
     Returns per-layer rows (name, op, output shape, params) plus the two
     channel stacks.
     """
-    model = model if model is not None else build_baseline_resnet18(in_channels=5)
+    if model is None:
+        with skip_init():
+            model = build_baseline_resnet18(in_channels=5)
     graph = trace_model(model, input_hw=input_hw)
     layers = [
         {

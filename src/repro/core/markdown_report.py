@@ -90,12 +90,15 @@ def _kernel_energy_section(device: str = "cortexA76cpu") -> list[str]:
     from repro.graph.trace import trace_model
     from repro.latency.energy import energy_report
     from repro.nas.config import ModelConfig
+    from repro.nn.init import skip_init
     from repro.nn.resnet import build_model
 
     config = ModelConfig(channels=5, batch=8, kernel_size=3, stride=2, padding=1,
                          pool_choice=0, kernel_size_pool=3, stride_pool=2,
                          initial_output_feature=32)
-    graph = trace_model(build_model(config), input_hw=(24, 24))
+    with skip_init():
+        model = build_model(config)
+    graph = trace_model(model, input_hw=(24, 24))
     winograd = {n.name: WINOGRAD_VARIANT for n in graph.nodes()
                 if n.op is OpType.CONV and winograd_eligible(n.attrs)}
     integer = {"conv-bn-relu": "conv.im2col.int8", "conv-bn": "conv.im2col.int8",

@@ -125,7 +125,7 @@ def _check_headline(report: VerificationReport, sweep: PipelineResult) -> None:
 
 
 def verify_reproduction(seed: int = 0) -> VerificationReport:
-    """Run the sweep and verify every headline claim; ~90 s on one core."""
+    """Run the sweep and verify every headline claim; ~5-10 s on one core."""
     report = VerificationReport()
     sweep = run_paper_sweep(seed=seed)
     _check_trials(report, sweep)

@@ -24,6 +24,7 @@ from scipy.optimize import least_squares
 from repro.graph.trace import trace_model
 from repro.latency.devices import DEVICE_PROFILES, DeviceProfile, kernel_latency_ms
 from repro.latency.kernels import Kernel, extract_kernels
+from repro.nn.init import skip_init
 from repro.nn.resnet import SearchableResNet18
 
 __all__ = ["Anchor", "PAPER_ANCHORS", "fit_device_profiles", "calibration_report"]
@@ -72,7 +73,8 @@ PAPER_ANCHORS: tuple[Anchor, ...] = (
 
 
 def _anchor_kernels(anchor: Anchor, input_hw: tuple[int, int]) -> list[Kernel]:
-    model = SearchableResNet18(num_classes=2, seed=0, **anchor.config)
+    with skip_init():
+        model = SearchableResNet18(num_classes=2, **anchor.config)
     return extract_kernels(trace_model(model, input_hw=input_hw))
 
 

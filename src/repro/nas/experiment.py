@@ -37,8 +37,10 @@ from repro.nas.retry import ErrorKind, PermanentTrialError, RetryPolicy, run_wit
 from repro.nas.storage import RunManifest, TrialStore
 from repro.nas.strategies import SearchStrategy
 from repro.nas.trial import TrialRecord, TrialStatus
+from repro.nn.init import skip_init
 from repro.nn.resnet import build_model
-from repro.onnxlite.export import export_model
+from repro.onnxlite.export import build_model_proto, serialized_size
+from repro.onnxlite.export import export_model  # noqa: F401 - bench/tracer.py wraps this name
 from repro.utils.logging import get_logger
 from repro.utils.rng import stable_hash
 
@@ -72,6 +74,11 @@ def measure_architecture(
 ) -> ArchitectureMetrics:
     """Latency (4 devices), memory, params and FLOPs for one architecture.
 
+    All four depend only on the architecture's shapes, so the model is
+    built under :func:`~repro.nn.init.skip_init` (no weights drawn),
+    traced once, and the memory objective is the onnxlite container's
+    :func:`~repro.onnxlite.export.serialized_size` (nothing serialized).
+
     Device predictors degrade gracefully: a predictor that raises is
     skipped (recorded in ``skipped_devices``, warning logged) and the
     latency mean/std aggregate over the survivors — matching
@@ -79,7 +86,8 @@ def measure_architecture(
     when nothing fails.  Only when *every* predictor fails does the
     measurement raise (:class:`~repro.nas.retry.PermanentTrialError`).
     """
-    model = build_model(config, seed=0)
+    with skip_init():
+        model = build_model(config, seed=0)
     graph = trace_model(model, input_hw=input_hw)
     profiles = DEVICE_PROFILES if profiles is None else profiles
     kernels = extract_kernels(graph)
@@ -100,7 +108,7 @@ def measure_architecture(
         raise PermanentTrialError(
             "all device predictors failed for this architecture: " + "; ".join(errors)
         )
-    memory_mb = len(export_model(model, input_hw=input_hw)) / 1e6
+    memory_mb = serialized_size(build_model_proto(model, graph)) / 1e6
     values = list(per_device.values())
     return ArchitectureMetrics(
         per_device_ms=per_device,

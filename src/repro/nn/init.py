@@ -3,11 +3,17 @@
 The searchable ResNet uses Kaiming-normal fan-out init for convolutions
 and unit/zero init for batch-norm scale/shift, matching torchvision's
 ResNet initialization so training dynamics are comparable.
+
+:func:`skip_init` builds models for their shapes alone, the way PyTorch's
+``skip_init`` and accelerate's ``init_empty_weights`` do.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
+from typing import Iterator
 
 import numpy as np
 
@@ -15,9 +21,33 @@ __all__ = [
     "kaiming_normal",
     "kaiming_uniform",
     "xavier_uniform",
+    "uniform",
+    "skip_init",
     "conv_fans",
     "linear_fans",
 ]
+
+#: Per-context (so per-thread) switch set by :func:`skip_init`.
+_SKIP_INIT: ContextVar[bool] = ContextVar("repro_nn_skip_init", default=False)
+
+
+@contextmanager
+def skip_init() -> Iterator[None]:
+    """Within the block, random initializers return zeros and draw nothing.
+
+    For callers that need a model's shapes but not its values: latency
+    prediction, FLOPs and the serialized size depend only on the graph and
+    the parameter shapes.  ``np.zeros`` maps large arrays lazily, so a
+    skip-init model costs neither RNG time nor resident memory.  The switch
+    lives in a :class:`~contextvars.ContextVar`: other threads keep
+    drawing seeded weights, and it resets even when the block raises.
+    Outside the block every weight is unchanged, bit for bit.
+    """
+    token = _SKIP_INIT.set(True)
+    try:
+        yield
+    finally:
+        _SKIP_INIT.reset(token)
 
 
 def conv_fans(weight_shape: tuple[int, int, int, int]) -> tuple[int, int]:
@@ -56,6 +86,8 @@ def kaiming_normal(
     """He-normal init: ``N(0, gain^2 / fan)`` with gain sqrt(2) for ReLU."""
     gain = math.sqrt(2.0) if nonlinearity == "relu" else 1.0
     std = gain / math.sqrt(_fan(shape, mode))
+    if _SKIP_INIT.get():
+        return np.zeros(shape, dtype=np.float32)
     return rng.normal(0.0, std, size=shape).astype(np.float32)
 
 
@@ -67,8 +99,7 @@ def kaiming_uniform(
 ) -> np.ndarray:
     """He-uniform init: ``U(-b, b)`` with ``b = gain * sqrt(3 / fan)``."""
     gain = math.sqrt(2.0) if nonlinearity == "relu" else 1.0
-    bound = gain * math.sqrt(3.0 / _fan(shape, mode))
-    return rng.uniform(-bound, bound, size=shape).astype(np.float32)
+    return uniform(shape, gain * math.sqrt(3.0 / _fan(shape, mode)), rng)
 
 
 def xavier_uniform(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
@@ -77,5 +108,12 @@ def xavier_uniform(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarr
         fan_in, fan_out = conv_fans(shape)  # type: ignore[arg-type]
     else:
         fan_in, fan_out = linear_fans(shape)  # type: ignore[arg-type]
-    bound = math.sqrt(6.0 / (fan_in + fan_out))
+    return uniform(shape, math.sqrt(6.0 / (fan_in + fan_out)), rng)
+
+
+def uniform(shape: tuple[int, ...], bound: float, rng: np.random.Generator) -> np.ndarray:
+    """``U(-bound, bound)`` init; :class:`~repro.nn.layers.Linear` uses
+    ``bound = 1 / sqrt(in_features)`` for weight and bias (PyTorch's default)."""
+    if _SKIP_INIT.get():
+        return np.zeros(shape, dtype=np.float32)
     return rng.uniform(-bound, bound, size=shape).astype(np.float32)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.init import kaiming_normal
+from repro.nn.init import kaiming_normal, uniform
 from repro.nn.module import Module, Parameter
 from repro.tensor import functional as F
 from repro.tensor import conv_ops
@@ -87,14 +87,8 @@ class Linear(Module):
         self.in_features = in_features
         self.out_features = out_features
         bound = 1.0 / np.sqrt(in_features)
-        self.weight = Parameter(
-            generator.uniform(-bound, bound, size=(out_features, in_features)).astype(np.float32)
-        )
-        self.bias = (
-            Parameter(generator.uniform(-bound, bound, size=out_features).astype(np.float32))
-            if bias
-            else None
-        )
+        self.weight = Parameter(uniform((out_features, in_features), bound, generator))
+        self.bias = Parameter(uniform((out_features,), bound, generator)) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
         return F.linear(x, self.weight, self.bias)

@@ -9,7 +9,7 @@ by the raw fp32 weight payload (4 bytes/parameter, see DESIGN.md).
 """
 
 from repro.onnxlite.schema import ModelProto, TensorProto, OperatorProto
-from repro.onnxlite.export import export_model, export_graph
+from repro.onnxlite.export import export_model, export_graph, serialized_size
 from repro.onnxlite.reader import load_model
 from repro.onnxlite.size import model_size_bytes, model_size_mb
 
@@ -19,6 +19,7 @@ __all__ = [
     "OperatorProto",
     "export_model",
     "export_graph",
+    "serialized_size",
     "load_model",
     "model_size_bytes",
     "model_size_mb",

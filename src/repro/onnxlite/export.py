@@ -16,13 +16,15 @@ import json
 import struct
 from pathlib import Path
 
+import numpy as np
+
 from repro.graph.ir import Graph, OpType
 from repro.graph.trace import trace_model
 from repro.nn.module import Module
 from repro.nn.resnet import SearchableResNet18
 from repro.onnxlite.schema import FORMAT_MAGIC, FORMAT_VERSION, ModelProto, OperatorProto, TensorProto
 
-__all__ = ["build_model_proto", "export_graph", "export_model", "proto_to_bytes"]
+__all__ = ["build_model_proto", "export_graph", "export_model", "proto_to_bytes", "serialized_size"]
 
 # IR op -> onnxlite operator type string (deliberately ONNX-flavoured names).
 _OP_NAMES = {
@@ -66,15 +68,15 @@ def build_model_proto(model: Module, graph: Graph, name: str = "model") -> Model
     return proto
 
 
-def proto_to_bytes(proto: ModelProto) -> bytes:
-    """Serialize a :class:`ModelProto` to the binary container."""
+def _container_header(proto: ModelProto) -> bytes:
+    """Everything before the weight payload: magic, version, header length, JSON."""
     entries = []
-    payload = bytearray()
+    offset = 0
     for tensor in proto.initializers:
         entry = {
             "name": tensor.name,
             "shape": list(tensor.data.shape),
-            "offset": len(payload),
+            "offset": offset,
             "nbytes": tensor.nbytes,
         }
         if tensor.quantized or tensor.dtype != "float32":
@@ -83,7 +85,7 @@ def proto_to_bytes(proto: ModelProto) -> bytes:
             entry["scale"] = tensor.scale.tolist() if tensor.per_channel else tensor.scale
             entry["zero_point"] = tensor.zero_point
         entries.append(entry)
-        payload.extend(tensor.data.tobytes())
+        offset += tensor.nbytes
     header = {
         "name": proto.name,
         "input_shape": list(proto.input_shape),
@@ -102,12 +104,28 @@ def proto_to_bytes(proto: ModelProto) -> bytes:
         "initializers": entries,
     }
     header_bytes = json.dumps(header).encode("utf-8")
-    return (
-        FORMAT_MAGIC
-        + struct.pack("<II", FORMAT_VERSION, len(header_bytes))
-        + header_bytes
-        + bytes(payload)
+    return FORMAT_MAGIC + struct.pack("<II", FORMAT_VERSION, len(header_bytes)) + header_bytes
+
+
+def proto_to_bytes(proto: ModelProto) -> bytes:
+    """Serialize a :class:`ModelProto` to the binary container.
+
+    The payload is joined straight from the initializer arrays, so each
+    weight byte is copied once.
+    """
+    return b"".join(
+        [_container_header(proto), *(np.ascontiguousarray(t.data) for t in proto.initializers)]
     )
+
+
+def serialized_size(proto: ModelProto) -> int:
+    """``len(proto_to_bytes(proto))`` without serializing the payload.
+
+    The size is the header plus every initializer's ``nbytes``: a function
+    of names, shapes and dtypes (and quantization scales), never of fp32
+    weight values.
+    """
+    return len(_container_header(proto)) + sum(t.nbytes for t in proto.initializers)
 
 
 def export_graph(model: Module, graph: Graph, path: str | Path | None = None, name: str = "model") -> bytes:

@@ -12,9 +12,15 @@ from repro.nas import (
     SurrogateEvaluator,
     TrialStore,
 )
-from repro.nas.experiment import measure_architecture
-from repro.nas.searchspace import SearchSpace
+from repro.graph.flops import count_graph_flops
+from repro.graph.trace import trace_model
+from repro.latency.devices import DEVICE_PROFILES, kernel_latency_ms
+from repro.latency.kernels import extract_kernels
+from repro.nas.experiment import ArchitectureMetrics, measure_architecture
+from repro.nas.searchspace import DEFAULT_SPACE, SearchSpace, enumerate_input_combinations
 from repro.nas.config import ModelConfig
+from repro.nn.resnet import build_model
+from repro.onnxlite import export_model
 
 SMALL_SPACE = SearchSpace(
     kernel_size=(3,), stride=(2,), padding=(1,), pool_choice=(0, 1),
@@ -106,6 +112,35 @@ class TestMeasureArchitecture:
         metrics = measure_architecture(baseline_config)
         assert metrics.memory_mb == pytest.approx(44.7, rel=0.01)
         assert metrics.latency_ms == pytest.approx(31.9, rel=0.1)
+
+    def test_equals_seeded_build_and_full_export(self):
+        """Measured from shapes, the metrics equal those of a seeded build
+        whose export is serialized in full: the six Table-5 baselines and
+        one grid architecture per (width, pool_choice, stem kernel)."""
+        picks = {}
+        for config in GridSearch(DEFAULT_SPACE).propose(DEFAULT_SPACE.total_configurations()):
+            picks.setdefault((config.initial_output_feature, config.pool_choice, config.kernel_size), config)
+        assert len(picks) == 12
+        baselines = [ModelConfig.baseline(channels=c, batch=b) for c, b in enumerate_input_combinations()]
+        references: dict[tuple, ArchitectureMetrics] = {}
+        for config in baselines + list(picks.values()):
+            key = config.architecture_key()
+            if key not in references:
+                model = build_model(config, seed=0)
+                graph = trace_model(model, input_hw=(100, 100))
+                kernels = extract_kernels(graph)
+                per_device = {name: float(sum(kernel_latency_ms(k, profile) for k in kernels))
+                              for name, profile in DEVICE_PROFILES.items()}
+                values = list(per_device.values())
+                references[key] = ArchitectureMetrics(
+                    per_device_ms=per_device,
+                    latency_ms=float(np.mean(values)),
+                    lat_std=float(np.std(values)),
+                    memory_mb=len(export_model(model, input_hw=(100, 100))) / 1e6,
+                    param_count=sum(p.size for p in model.parameters()),
+                    flops=count_graph_flops(graph),
+                )
+            assert measure_architecture(config) == references[key], config
 
 
 class TestExperiment:

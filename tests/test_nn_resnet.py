@@ -1,22 +1,48 @@
 """SearchableResNet18: structure, shapes, parameter counts, config build."""
 
+import hashlib
+import threading
+
 import numpy as np
 import pytest
 
+from repro.nas.config import ModelConfig
 from repro.nn import (
     BasicBlock,
+    Conv2d,
+    Linear,
     SearchableResNet18,
     build_baseline_resnet18,
     build_model,
     count_parameters,
     model_summary,
 )
+from repro.nn.init import skip_init
 from repro.nn.serialize import load_state_dict, save_state_dict, state_dict_from_bytes, state_dict_to_bytes
 from repro.tensor.tensor import Tensor
 
 
 def _x(n, c, s, seed=0):
     return Tensor(np.random.default_rng(seed).normal(size=(n, c, s, s)).astype(np.float32))
+
+
+#: The Pareto winner (f=32, k=3, s=2, p=1, no pool) at 5 channels.
+WINNER = ModelConfig(channels=5, batch=16, kernel_size=3, stride=2, padding=1,
+                     pool_choice=0, kernel_size_pool=3, stride_pool=2,
+                     initial_output_feature=32)
+#: sha256 over sorted (name, bytes) of ``build_model(WINNER, seed=0).state_dict()``.
+#: The benchmark's golden digests for training and patch inference rest on
+#: these seeded weights, so any change to weight init must fail here.
+WINNER_STATE_SHA256 = "4b56a1ed1f53f826a127cdfeb975bd87128ee71e334b87ffa9638b15a65b32e0"
+
+
+def _state_sha256(model) -> str:
+    state = model.state_dict()
+    h = hashlib.sha256()
+    for name in sorted(state):
+        h.update(name.encode())
+        h.update(state[name].tobytes())
+    return h.hexdigest()
 
 
 class TestBasicBlock:
@@ -90,6 +116,58 @@ class TestForward:
         np.testing.assert_array_equal(a.conv1.weight.data, b.conv1.weight.data)
         c = SearchableResNet18(seed=12, kernel_size=3, padding=1)
         assert not np.allclose(a.conv1.weight.data, c.conv1.weight.data)
+
+
+class TestSkipInit:
+    def test_same_structure_and_zero_drawn_weights(self):
+        seeded = build_model(WINNER)
+        with skip_init():
+            skipped = build_model(WINNER)
+        for named in ("named_parameters", "named_buffers"):
+            shapes = [[(n, np.shape(v)) for n, v in getattr(m, named)()] for m in (skipped, seeded)]
+            assert shapes[0] == shapes[1]
+        drawn = {f"{name}.{attr}" for name, module in skipped.named_modules()
+                 if isinstance(module, (Conv2d, Linear))
+                 for attr in ("weight", "bias") if getattr(module, attr) is not None}
+        assert "conv1.weight" in drawn and "fc.bias" in drawn
+        ref, state = seeded.state_dict(), skipped.state_dict()
+        for name, value in state.items():
+            if name in drawn:
+                assert ref[name].any() and not value.any(), name
+            else:  # batch-norm constants draw nothing and are unchanged
+                np.testing.assert_array_equal(value, ref[name])
+
+    def test_resets_when_the_block_raises(self):
+        with pytest.raises(RuntimeError):
+            with skip_init():
+                raise RuntimeError("inside")
+        assert _state_sha256(build_model(WINNER)) == WINNER_STATE_SHA256
+
+    def test_other_threads_draw_seeded_weights(self):
+        inside, release = threading.Event(), threading.Event()
+
+        def hold():
+            with skip_init():
+                inside.set()
+                release.wait(30)
+
+        digests = []
+        holder = threading.Thread(target=hold)
+        holder.start()
+        try:
+            assert inside.wait(30)
+            worker = threading.Thread(target=lambda: digests.append(_state_sha256(build_model(WINNER))))
+            worker.start()
+            worker.join(30)
+            assert not worker.is_alive()
+        finally:
+            release.set()
+            holder.join(30)
+        assert not holder.is_alive()
+        assert digests == [WINNER_STATE_SHA256]
+
+    def test_seeded_build_is_pinned(self):
+        assert _state_sha256(build_model(WINNER, seed=0)) == WINNER_STATE_SHA256
 
 
 class TestValidation:

@@ -6,7 +6,7 @@ import pytest
 from repro.graph.trace import trace_model
 from repro.nn import SearchableResNet18, build_baseline_resnet18, count_parameters
 from repro.onnxlite import export_model, load_model, model_size_mb
-from repro.onnxlite.export import build_model_proto, export_graph, proto_to_bytes
+from repro.onnxlite.export import build_model_proto, export_graph, proto_to_bytes, serialized_size
 from repro.onnxlite.reader import proto_from_bytes
 from repro.onnxlite.schema import ModelProto, OperatorProto, TensorProto
 
@@ -83,6 +83,8 @@ class TestMemoryObjective:
         param_bytes = 4 * count_parameters(model)
         assert blob_bytes > param_bytes
         assert blob_bytes < 1.02 * param_bytes  # graph text is tiny
+        proto = build_model_proto(model, trace_model(model, input_hw=(64, 64)))
+        assert serialized_size(proto) == len(proto_to_bytes(proto)) == blob_bytes
 
     def test_channels_shift_memory_slightly(self):
         mb5 = model_size_mb(_small_model(in_channels=5))

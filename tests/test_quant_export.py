@@ -6,6 +6,7 @@ import pytest
 from repro.deploy import load_runtime
 from repro.nn import SearchableResNet18
 from repro.onnxlite import export_model
+from repro.onnxlite.export import proto_to_bytes, serialized_size
 from repro.onnxlite.reader import proto_from_bytes
 from repro.onnxlite.schema import TensorProto
 from repro.quant import export_quantized_model, quantized_model_size_mb
@@ -38,9 +39,14 @@ class TestQuantizedExport:
     def test_file_is_about_4x_smaller(self):
         model = _model()
         fp32 = len(export_model(model, input_hw=(64, 64)))
-        int8 = len(export_quantized_model(model, input_hw=(64, 64)))
+        per_channel = export_quantized_model(model, input_hw=(64, 64))
+        int8 = len(per_channel)
         assert 3.5 < fp32 / int8 < 4.3
         assert quantized_model_size_mb(model, (64, 64)) == pytest.approx(int8 / 1e6)
+        per_tensor = export_quantized_model(model, input_hw=(64, 64), per_channel=False)
+        for blob in (per_channel, per_tensor):
+            proto = proto_from_bytes(blob)
+            assert serialized_size(proto) == len(proto_to_bytes(proto)) == len(blob)
 
     def test_container_roundtrip_preserves_quantization(self):
         blob = export_quantized_model(_model(), input_hw=(64, 64))
@@ -54,9 +60,12 @@ class TestQuantizedExport:
     def test_int16_export_in_between(self):
         model = _model()
         int8 = len(export_quantized_model(model, input_hw=(64, 64), dtype="int8"))
-        int16 = len(export_quantized_model(model, input_hw=(64, 64), dtype="int16"))
+        blob16 = export_quantized_model(model, input_hw=(64, 64), dtype="int16")
+        int16 = len(blob16)
         fp32 = len(export_model(model, input_hw=(64, 64)))
         assert int8 < int16 < fp32
+        proto = proto_from_bytes(blob16)
+        assert serialized_size(proto) == len(proto_to_bytes(proto)) == int16
 
 
 class TestQuantizedDeployment:

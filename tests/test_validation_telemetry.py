@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.validation import Check, VerificationReport
+from repro.core.validation import Check, VerificationReport, verify_reproduction
 from repro.graph.trace import trace_model
 from repro.latency.devices import DEVICE_PROFILES
 from repro.latency.predictors import batch_latency_ms
@@ -33,6 +33,15 @@ class TestVerificationReport:
         check = Check("n", True, "d")
         with pytest.raises(AttributeError):
             check.passed = False  # type: ignore[misc]
+
+
+class TestFullReproduction:
+    def test_paper_sweep_reproduces_every_claim(self):
+        """The whole 1,728-trial sweep: trial accounting (1,717 valid), the
+        Table-3 and Table-5 ranges, the front's shared k=3/s=2/p=1/f=32
+        traits and the headline."""
+        report = verify_reproduction(seed=0)
+        assert report.ok, report.summary()
 
 
 class TestRunTelemetry:
