@@ -24,7 +24,6 @@ shared, arenas private) behind the micro-batching server in
 from repro.deploy.autotune import AutotuneResult, autotune_variants
 from repro.deploy.plan import (
     Arena,
-    BATCH_MERGED_MAX_POSITIONS,
     ConcurrentPlanError,
     InferencePlan,
     compile_plan,
@@ -35,7 +34,6 @@ from repro.deploy.weights import LazyWeightTable, plan_weight_arrays, weight_res
 __all__ = [
     "Arena",
     "AutotuneResult",
-    "BATCH_MERGED_MAX_POSITIONS",
     "ConcurrentPlanError",
     "InferencePlan",
     "LazyWeightTable",

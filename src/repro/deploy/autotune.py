@@ -44,6 +44,7 @@ from repro.deploy.plan import (
     _bind_gemm,
     _bind_qconv,
     _bind_qgemm,
+    channels_last,
 )
 from repro.deploy.weights import LazyWeightTable
 from repro.deploy.winograd import WINOGRAD_VARIANT, bind_winograd_conv, winograd_eligible
@@ -113,9 +114,12 @@ def _bind_candidate(node: PlanNode, variant: str, shapes, arena: Arena, in_form:
 
 
 def _synthetic_input(shape: tuple[int, ...], form: str, rng: np.random.Generator):
+    """A random batch of logical ``shape``, laid out as the plan carries it."""
     if form == "u8":
-        return rng.integers(0, 256, size=shape, dtype=np.uint8)
-    return rng.standard_normal(shape, dtype=np.float32)
+        x = rng.integers(0, 256, size=shape, dtype=np.uint8)
+    else:
+        x = rng.standard_normal(shape, dtype=np.float32)
+    return np.ascontiguousarray(channels_last(x))
 
 
 def _bench(run, env: dict, arena: Arena, rounds: int) -> float:

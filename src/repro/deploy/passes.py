@@ -37,6 +37,7 @@ from repro.tensor.conv_ops import conv_output_size, pool_output_size
 __all__ = [
     "PlanNode",
     "build_plan_nodes",
+    "gemm_matrix",
     "fold_batch_norm",
     "fuse_operators",
     "toposort_nodes",
@@ -96,6 +97,33 @@ class PlanNode:
             weight = self.qweight.dequantized()
             self.weights["weight"] = weight
         return weight
+
+    def gemm_weight(self) -> np.ndarray:
+        """The fp32 weight as the ``(K, C_out)`` right-hand GEMM operand.
+
+        Built once by :func:`gemm_matrix` and cached under ``"weight_k"``
+        *in place of* ``"weight"``: the node keeps one fp32 copy, in the
+        layout the compiled kernels read, which plan replicas and
+        shared-memory workers then share.
+        """
+        mat = self.weights.get("weight_k")
+        if mat is None:
+            mat = gemm_matrix(self.fp32_weight())
+            self.weights["weight_k"] = mat
+            del self.weights["weight"]
+        return mat
+
+
+def gemm_matrix(weight: np.ndarray) -> np.ndarray:
+    """A Conv or Gemm weight as a C-contiguous ``(K, C_out)`` matrix.
+
+    Conv ``(C_out, C_in, kh, kw)`` rows run in the channels-last K order
+    ``(kh, kw, c)``, the column order of the compiled plan's im2col;
+    Gemm ``(out, in)`` weights are transposed.  Works on any dtype (the
+    int8 kernels flatten their integer codes the same way).
+    """
+    order = (*range(2, weight.ndim), 1, 0)
+    return np.ascontiguousarray(weight.transpose(order).reshape(-1, weight.shape[0]))
 
 
 def build_plan_nodes(proto: ModelProto, weights: Mapping[str, np.ndarray]) -> list[PlanNode]:

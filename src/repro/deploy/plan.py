@@ -7,6 +7,14 @@ fused operator to a concrete NumPy closure at compile time:
 - **no per-call dispatch** — each step is a closure with its weights,
   geometry, and GEMM matrices captured as locals (BatchNorm already
   folded into the Conv weights, ReLU applied in-kernel);
+- **channels-last activations** — every kernel reads and writes
+  ``(N, H, W, C)`` buffers (:func:`channels_last` is the one place that
+  decides it).  A Conv is one position-major kernel for every batch
+  size: an ``(N·P, k·k·C)`` im2col copied in contiguous C-runs (K order
+  ``(kh, kw, c)``), then one ``@ (k·k·C, C_out)`` GEMM that writes the
+  next layer's input directly.  :meth:`InferencePlan.run` still takes
+  and returns the logical layout, and ``plan.shapes`` stays logical
+  ``(C, H, W)``;
 - **static memory planning** — a liveness-derived release schedule
   recycles intermediate buffers through an :class:`Arena` the moment
   their last consumer has run, instead of accumulating every activation
@@ -16,8 +24,8 @@ fused operator to a concrete NumPy closure at compile time:
   one allocation across the run *and* across runs.
 
 The interpreted :class:`~repro.deploy.runtime.OnnxliteRuntime` path is
-kept unchanged as the independent reference implementation; equivalence
-between the two (and :mod:`repro.nn`) is enforced by
+kept unchanged (and NCHW) as the independent reference implementation;
+equivalence between the two (and :mod:`repro.nn`) is enforced by
 ``tests/test_deploy_plan.py``.
 """
 
@@ -40,6 +48,7 @@ from repro.deploy.passes import (
     build_plan_nodes,
     compute_liveness,
     fuse_operators,
+    gemm_matrix,
     infer_shapes,
     plan_quantization,
     toposort_nodes,
@@ -55,31 +64,32 @@ from repro.deploy.weights import LazyWeightTable
 from repro.deploy.winograd import WINOGRAD_VARIANT, bind_winograd_conv, winograd_eligible
 from repro.latency.fusion import KERNEL_VARIANTS
 from repro.onnxlite.schema import ModelProto
-from repro.tensor.conv_ops import im2col
 
 __all__ = [
     "Arena",
-    "BATCH_MERGED_MAX_POSITIONS",
     "ConcurrentPlanError",
     "InferencePlan",
     "PlanStep",
+    "channels_last",
     "compile_plan",
 ]
 
 _INPUT = "input"
 
-#: Positions-per-image threshold below which the *batched* Conv kernel
-#: switches to the batch-merged GEMM layout.  Small spatial outputs make
-#: the per-sample GEMM skinny (e.g. a 256-channel 2x2 stage is a
-#: ``(256, 2304) @ (2304, 4)`` product — almost no N dimension to
-#: amortize the K-panel loads over); merging the batch into the GEMM's N
-#: dimension (``(C_out, Ckk) @ (Ckk, N*P)``) keeps the kernel saturated
-#: and measures up to ~5x faster per image at batch 8-16.  Large spatial
-#: outputs already saturate the GEMM and fit the per-sample working set
-#: in cache, so they keep the channel-major per-sample loop (which also
-#: stays bitwise-identical to the single-image path).  Mirrors the
-#: ``MERGED_GEMM_MAX_POSITIONS`` crossover of the training substrate.
-BATCH_MERGED_MAX_POSITIONS = 256
+
+def channels_last(x: np.ndarray, inverse: bool = False) -> np.ndarray:
+    """View a logical batch in the plan's activation layout (or back).
+
+    The compiled plan's one layout decision: feature maps are carried
+    channels-last, ``(N, C, H, W)`` -> ``(N, H, W, C)``, so a conv's
+    im2col copies contiguous C-runs and its GEMM output is already the
+    next layer's input.  ``inverse=True`` maps a plan buffer back to the
+    logical layout.  Flat ``(N, F)`` batches are the same in both.
+    Returns a view, never a copy.
+    """
+    if x.ndim != 4:
+        return x
+    return x.transpose(0, 3, 1, 2) if inverse else x.transpose(0, 2, 3, 1)
 
 
 class ConcurrentPlanError(RuntimeError):
@@ -203,111 +213,81 @@ class PlanStep:
 # --------------------------------------------------------------------------
 
 
+def _pad_into(xp: np.ndarray, x: np.ndarray, padding: int, fill) -> np.ndarray:
+    """Copy a channels-last batch into the interior of ``xp``; fill the border.
+
+    Border-only fill (the interior is fully overwritten by the copy)
+    saves a full memset of the padded buffer per call.  ``fill`` is 0.0
+    for fp32 and the input zero point for uint8 codes.
+    """
+    h, w = x.shape[1:3]
+    xp[:, :padding] = fill
+    xp[:, padding + h :] = fill
+    xp[:, padding : padding + h, :padding] = fill
+    xp[:, padding : padding + h, padding + w :] = fill
+    xp[:, padding : padding + h, padding : padding + w] = x
+    return xp
+
+
+def _im2col_into(cols: np.ndarray, xp: np.ndarray, kernel: int, stride: int) -> np.ndarray:
+    """Gather the conv windows of a channels-last batch, position-major.
+
+    ``cols`` is ``(N, OH, OW, k, k, C)``: row ``(n, oh, ow)`` of the
+    ``(N·P, k·k·C)`` column matrix, K order ``(kh, kw, c)``.  Each window
+    row is ``k·C`` contiguous values in both source and destination, so
+    the copy moves whole runs (and fuses a uint8 -> float32 cast).
+    """
+    windows = sliding_window_view(xp, (kernel, kernel), axis=(1, 2))[:, ::stride, ::stride]
+    np.copyto(cols, windows.transpose(0, 1, 2, 4, 5, 3))
+    return cols
+
+
 def _bind_conv(node: PlanNode, in_shape, out_shape, arena: Arena):
-    """Bind a (fused) Conv node with batch-adaptive GEMM strategies.
+    """Bind a (fused) Conv to the position-major im2col kernel.
 
-    - ``N == 1`` — the original single-stream path: one channel-major
-      ``(C_out, Ckk) @ (Ckk, P)`` product writing NCHW directly.
-    - ``N > 1``, large spatial — a per-sample loop of the same product
-      (bitwise-identical per image to the single-stream path; the
-      per-sample column matrix stays cache-resident, which beats both
-      NumPy's broadcast batched matmul and the merged layout here).
-    - ``N > 1``, spatial <= :data:`BATCH_MERGED_MAX_POSITIONS` — the
-      batch-merged layout: one ``(C_out, Ckk) @ (Ckk, N*P)`` product
-      over a merged column matrix, then one transpose pass back to
-      NCHW.  This is where batched serving earns its throughput.
-
-    Padding is written border-only (the interior is fully overwritten by
-    the input copy), saving a full memset of the padded buffer per call.
+    One code path for every batch size: the channels-last input is
+    gathered into an ``(N·P, k·k·C)`` column matrix, one
+    ``@ (k·k·C, C_out)`` GEMM writes the ``(N, OH, OW, C_out)`` output
+    directly, and bias and ReLU run over that contiguous buffer.  Each
+    output row depends only on its own sample, so a batched run returns
+    per image what a single-image run does, up to BLAS blocking.
     """
     c_in, h, w = in_shape
     c_out, oh, ow = out_shape
     kernel = int(node.attrs["kernel"])
     stride = int(node.attrs["stride"])
     padding = int(node.attrs["padding"])
-    w_mat = np.ascontiguousarray(node.fp32_weight().reshape(c_out, -1))
+    w_mat = node.gemm_weight()
     bias = node.weights.get("bias")
-    bias_col = None if bias is None else np.ascontiguousarray(bias.reshape(c_out, 1, 1))
     relu = node.relu
     in_name = node.inputs[0]
-    cols_rows = c_in * kernel * kernel
-    spatial = oh * ow
-    merged = spatial <= BATCH_MERGED_MAX_POSITIONS
-
-    def pad_input(x: np.ndarray, n: int) -> np.ndarray:
-        """Border-only zero fill + interior copy into an arena buffer."""
-        xp = arena.acquire((n, c_in, h + 2 * padding, w + 2 * padding))
-        xp[:, :, :padding, :] = 0.0
-        xp[:, :, padding + h :, :] = 0.0
-        xp[:, :, padding : padding + h, :padding] = 0.0
-        xp[:, :, padding : padding + h, padding + w :] = 0.0
-        xp[:, :, padding : padding + h, padding : padding + w] = x
-        return xp
-
-    def finish(out: np.ndarray) -> np.ndarray:
-        if bias_col is not None:
-            out += bias_col
-        if relu:
-            np.maximum(out, 0.0, out=out)
-        return out
-
-    def run_channel_major(x: np.ndarray, n: int) -> np.ndarray:
-        xp = pad_input(x, n) if padding else x
-        cols = arena.acquire((n, cols_rows, spatial))
-        im2col(xp, kernel, stride, out=cols)
-        if padding:
-            arena.release(xp)
-        out = arena.acquire((n, c_out, oh, ow))
-        out_mat = out.reshape(n, c_out, spatial)
-        if n == 1:
-            np.matmul(w_mat, cols, out=out_mat)
-        else:
-            # Per-sample products: identical GEMM shape to the N == 1
-            # path (bitwise-equal per image) and the per-sample column
-            # matrix stays hot in cache across the loop.
-            for i in range(n):
-                np.matmul(w_mat, cols[i], out=out_mat[i])
-        arena.release(cols)
-        return finish(out)
-
-    def run_batch_merged(x: np.ndarray, n: int) -> np.ndarray:
-        xp = pad_input(x, n) if padding else x
-        windows = sliding_window_view(xp, (kernel, kernel), axis=(2, 3))[:, :, ::stride, ::stride]
-        cols = arena.acquire((cols_rows, n * spatial))
-        # Merged layout: column j of the GEMM is (sample j // P, position
-        # j % P) — batch folded into the GEMM's N dimension.
-        np.copyto(
-            cols.reshape(c_in, kernel, kernel, n, oh, ow),
-            windows.transpose(1, 4, 5, 0, 2, 3),
-        )
-        if padding:
-            arena.release(xp)
-        om = arena.acquire((c_out, n, spatial))
-        np.matmul(w_mat, cols.reshape(cols_rows, n * spatial), out=om.reshape(c_out, n * spatial))
-        arena.release(cols)
-        finish(om)  # bias (C_out, 1, 1) broadcasts over (C_out, N, P)
-        out = arena.acquire((n, c_out, oh, ow))
-        np.copyto(out.reshape(n, c_out, spatial), om.transpose(1, 0, 2))
-        arena.release(om)
-        return out
+    k_dim = kernel * kernel * c_in
 
     def run(env: dict[str, np.ndarray]) -> np.ndarray:
         x = env[in_name]
         n = x.shape[0]
-        if n > 1 and merged:
-            return run_batch_merged(x, n)
-        return run_channel_major(x, n)
+        if padding:
+            xp = _pad_into(arena.acquire((n, h + 2 * padding, w + 2 * padding, c_in)),
+                           x, padding, 0.0)
+        else:
+            xp = x
+        cols = _im2col_into(arena.acquire((n, oh, ow, kernel, kernel, c_in)), xp, kernel, stride)
+        if padding:
+            arena.release(xp)
+        out = arena.acquire((n, oh, ow, c_out))
+        np.matmul(cols.reshape(-1, k_dim), w_mat, out=out.reshape(-1, c_out))
+        arena.release(cols)
+        if bias is not None:
+            out += bias
+        if relu:
+            np.maximum(out, 0.0, out=out)
+        return out
 
     return run
 
 
 def _bind_gemm(node: PlanNode, out_shape, arena: Arena):
-    # (in, out) layout; cached on the node so plan replicas share one
-    # transposed copy instead of materializing it per bind.
-    weight_t = node.weights.get("weight_t")
-    if weight_t is None:
-        weight_t = np.ascontiguousarray(node.fp32_weight().T)
-        node.weights["weight_t"] = weight_t
+    weight_k = node.gemm_weight()  # (in, out)
     bias = node.weights.get("bias")
     relu = node.relu
     in_name = node.inputs[0]
@@ -316,7 +296,7 @@ def _bind_gemm(node: PlanNode, out_shape, arena: Arena):
     def run(env: dict[str, np.ndarray]) -> np.ndarray:
         x = env[in_name]
         out = arena.acquire((x.shape[0], out_features))
-        np.matmul(x, weight_t, out=out)
+        np.matmul(x, weight_k, out=out)
         if bias is not None:
             out += bias
         if relu:
@@ -327,8 +307,8 @@ def _bind_gemm(node: PlanNode, out_shape, arena: Arena):
 
 
 def _bind_batch_norm(node: PlanNode, arena: Arena, inplace: bool):
-    scale = node.weights["scale"].reshape(-1, 1, 1)
-    shift = node.weights["shift"].reshape(-1, 1, 1)
+    scale = node.weights["scale"]  # (C,) broadcasts over the channels-last axis
+    shift = node.weights["shift"]
     relu = node.relu
     in_name = node.inputs[0]
 
@@ -371,6 +351,11 @@ def _bind_add(node: PlanNode, arena: Arena, inplace_name: str | None):
     return run
 
 
+def _pool_windows(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
+    """``(N, OH, OW, C, k, k)`` pooling windows of a channels-last batch."""
+    return sliding_window_view(x, (kernel, kernel), axis=(1, 2))[:, ::stride, ::stride]
+
+
 def _bind_max_pool(node: PlanNode, out_shape, arena: Arena):
     kernel = int(node.attrs["kernel"])
     stride = int(node.attrs["stride"])
@@ -380,8 +365,8 @@ def _bind_max_pool(node: PlanNode, out_shape, arena: Arena):
 
     def run(env: dict[str, np.ndarray]) -> np.ndarray:
         x = env[in_name]
-        windows = sliding_window_view(x, (kernel, kernel), axis=(2, 3))[:, :, ::stride, ::stride]
-        out = arena.acquire((x.shape[0], c, oh, ow))
+        windows = _pool_windows(x, kernel, stride)
+        out = arena.acquire((x.shape[0], oh, ow, c))
         if average:
             np.mean(windows, axis=(-2, -1), dtype=np.float32, out=out)
         else:
@@ -398,20 +383,21 @@ def _bind_global_avg_pool(node: PlanNode, out_shape, arena: Arena):
     def run(env: dict[str, np.ndarray]) -> np.ndarray:
         x = env[in_name]
         out = arena.acquire((x.shape[0], channels))
-        np.mean(x, axis=(2, 3), dtype=np.float32, out=out)
+        np.mean(x, axis=(1, 2), dtype=np.float32, out=out)
         return out
 
     return run
 
 
-def _bind_flatten(node: PlanNode, out_shape, arena: Arena):
+def _bind_flatten(node: PlanNode, in_shape, out_shape, arena: Arena):
     in_name = node.inputs[0]
     flat = out_shape[0]
 
     def run(env: dict[str, np.ndarray]) -> np.ndarray:
         x = env[in_name]
         out = arena.acquire((x.shape[0], flat))
-        np.copyto(out, x.reshape(x.shape[0], flat))
+        # Flatten in the logical (C, H, W) order, whatever the carrier.
+        np.copyto(out.reshape(x.shape[0], *in_shape), channels_last(x, inverse=True))
         return out
 
     return run
@@ -425,30 +411,32 @@ def _bind_flatten(node: PlanNode, out_shape, arena: Arena):
 def _quantized_codes_matrix(node: PlanNode) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The node's weight codes in GEMM form, cached across plan replicas.
 
-    Returns ``(codes_f32, scales, row_sums)``: the int8 codes flattened
-    to ``(C_out, K)`` and pre-converted to float32 (the carrier dtype of
-    the exact SGEMM trick — see :mod:`repro.deploy.qkernels`), the
-    per-output-channel scales (float64), and the per-row code sums used
-    by the zero-point fold.  No ``dequantized()`` call happens here: the
-    f32 matrix holds integer *codes*, not reconstructed weights, so the
-    lazy-weight invariant (zero dequantized fp32 copies on the quantized
-    path) is preserved.
+    Returns ``(codes_f32, scales, col_sums)``: the int8 codes as the
+    ``(K, C_out)`` right-hand operand (:func:`~repro.deploy.passes.gemm_matrix`,
+    the same K order as the fp32 kernels) pre-converted to float32 (the
+    carrier dtype of the exact SGEMM trick — see
+    :mod:`repro.deploy.qkernels`), the per-output-channel scales
+    (float64), and the per-channel code sums used by the zero-point
+    fold.  No ``dequantized()`` call happens here: the f32 matrix holds
+    integer *codes*, not reconstructed weights, so the lazy-weight
+    invariant (zero dequantized fp32 copies on the quantized path) is
+    preserved.
     """
     mat = node.weights.get("w_codes_f32")
     if mat is None:
         qw = node.qweight
-        mat = np.ascontiguousarray(qw.data.reshape(qw.data.shape[0], -1).astype(np.float32))
+        mat = gemm_matrix(qw.data).astype(np.float32)
         node.weights["w_codes_f32"] = mat
         node.weights["w_scales"] = qw.channel_scales()
-        node.weights["w_row_sums"] = mat.sum(axis=1, dtype=np.float64)
-    return mat, node.weights["w_scales"], node.weights["w_row_sums"]
+        node.weights["w_col_sums"] = mat.sum(axis=0, dtype=np.float64)
+    return mat, node.weights["w_scales"], node.weights["w_col_sums"]
 
 
 def _make_int_epilogue(node: PlanNode, s_in: float, s_w: np.ndarray, arena: Arena):
     """Epilogue closure for integer Conv/Gemm accumulators.
 
-    Maps the exact ``(C, M)`` float64 accumulator (zero-point already
-    folded, bias not yet) to the kernel's output matrix ``om``:
+    Maps the exact float64 accumulator (channels last; zero-point
+    already folded, bias not yet) to the kernel's output:
 
     - quantized output (``qconfig["output"]`` set): int32 bias fold +
       gemmlowp fixed-point requantization to uint8 codes (fused ReLU is
@@ -456,8 +444,7 @@ def _make_int_epilogue(node: PlanNode, s_in: float, s_w: np.ndarray, arena: Aren
     - float32 epilogue (``output`` is None): per-channel dequant scale
       ``s_in * s_w[c]`` plus the fp32 bias and ReLU.
 
-    The closure takes ownership of (and releases) ``acc``.  Returns
-    ``(finish, out_dtype)``.
+    The closure takes ownership of (and releases) ``acc``.
     """
     q_out = node.qconfig["output"]
     bias = node.weights.get("bias")
@@ -467,7 +454,7 @@ def _make_int_epilogue(node: PlanNode, s_in: float, s_w: np.ndarray, arena: Aren
         zp_out = int(q_out.zero_point)
         bias_q = None
         if bias is not None:
-            bias_q = np.round(bias.astype(np.float64) / (s_in * s_w))[:, None]
+            bias_q = np.round(bias.astype(np.float64) / (s_in * s_w))
 
         def finish(acc: np.ndarray) -> np.ndarray:
             if bias_q is not None:
@@ -476,41 +463,41 @@ def _make_int_epilogue(node: PlanNode, s_in: float, s_w: np.ndarray, arena: Aren
             np.copyto(acc_i64, acc, casting="unsafe")
             arena.release(acc)
             om = arena.acquire(acc_i64.shape, np.uint8)
-            requantize(acc_i64, m0, shift, zp_out, relu=relu, out=om, axis=0)
+            requantize(acc_i64, m0, shift, zp_out, relu=relu, out=om, axis=-1)
             arena.release(acc_i64)
             return om
 
-        return finish, np.uint8
+        return finish
 
-    scale_col = (s_in * s_w)[:, None]  # float64 (C, 1)
-    bias_col = None if bias is None else np.ascontiguousarray(
-        bias.astype(np.float32)[:, None]
-    )
+    scale = s_in * s_w  # float64 (C,)
+    bias_f32 = None if bias is None else bias.astype(np.float32)
 
     def finish(acc: np.ndarray) -> np.ndarray:
         om = arena.acquire(acc.shape)
-        np.multiply(acc, scale_col, out=om)
+        np.multiply(acc, scale, out=om)
         arena.release(acc)
-        if bias_col is not None:
-            om += bias_col
+        if bias_f32 is not None:
+            om += bias_f32
         if relu:
             np.maximum(om, 0.0, out=om)
         return om
 
-    return finish, np.float32
+    return finish
 
 
 def _bind_qconv(node: PlanNode, in_shape, out_shape, arena: Arena, in_form: str):
     """Bind a (fused) Conv to the true-int8 QLinearConv-style kernel.
 
     The activation side runs in the quantized domain end to end: uint8
-    codes in (quantized on the fly when the producer is fp32), a merged
-    im2col over codes with the padding filled at the input *zero point*,
-    the exact chunked integer GEMM of :mod:`repro.deploy.qkernels`, and
-    either a requantized uint8 output (when every consumer reads codes)
-    or a float32 epilogue.  BatchNorm is already folded into the integer
-    weights by :func:`repro.deploy.passes.fold_batch_norm`; fused ReLU
-    rides the epilogue.
+    codes in (quantized on the fly when the producer is fp32), the same
+    position-major im2col as the fp32 kernel over codes with the padding
+    filled at the input *zero point*, the exact chunked integer GEMM of
+    :mod:`repro.deploy.qkernels` (its ``(N·P, C_out)`` accumulator is
+    already channels-last), and either a requantized uint8 output (when
+    every consumer reads codes) or a float32 epilogue.  BatchNorm is
+    already folded into the integer weights by
+    :func:`repro.deploy.passes.fold_batch_norm`; fused ReLU rides the
+    epilogue.
     """
     c_in, h, w = in_shape
     c_out, oh, ow = out_shape
@@ -519,12 +506,11 @@ def _bind_qconv(node: PlanNode, in_shape, out_shape, arena: Arena, in_form: str)
     padding = int(node.attrs["padding"])
     q_in = node.qconfig["input"]
     s_in, zp_in = float(q_in.scale), int(q_in.zero_point)
-    w_mat, s_w, row_sums = _quantized_codes_matrix(node)
-    finish, out_dtype = _make_int_epilogue(node, s_in, s_w, arena)
-    zp_term = (zp_in * row_sums)[:, None]  # float64 (C_out, 1), exact
+    w_mat, s_w, col_sums = _quantized_codes_matrix(node)
+    finish = _make_int_epilogue(node, s_in, s_w, arena)
+    zp_term = zp_in * col_sums  # float64 (C_out,), exact
     in_name = node.inputs[0]
-    cols_rows = c_in * kernel * kernel
-    spatial = oh * ow
+    k_dim = kernel * kernel * c_in
 
     def run(env: dict[str, np.ndarray]) -> np.ndarray:
         x = env[in_name]
@@ -532,45 +518,31 @@ def _bind_qconv(node: PlanNode, in_shape, out_shape, arena: Arena, in_form: str)
         if in_form == "u8":
             codes = x
         else:
-            codes = arena.acquire((n, c_in, h, w), np.uint8)
-            scratch = arena.acquire((n, c_in, h, w))
+            codes = arena.acquire((n, h, w, c_in), np.uint8)
+            scratch = arena.acquire((n, h, w, c_in))
             quantize_into(x, s_in, zp_in, codes, scratch)
             arena.release(scratch)
         if padding:
-            xp = arena.acquire((n, c_in, h + 2 * padding, w + 2 * padding), np.uint8)
-            # Border-only fill at the input zero point (the integer
-            # representation of 0.0), interior copied from the codes.
-            xp[:, :, :padding, :] = zp_in
-            xp[:, :, padding + h :, :] = zp_in
-            xp[:, :, padding : padding + h, :padding] = zp_in
-            xp[:, :, padding : padding + h, padding + w :] = zp_in
-            xp[:, :, padding : padding + h, padding : padding + w] = codes
+            # The input zero point is the integer representation of 0.0.
+            xp = arena.acquire((n, h + 2 * padding, w + 2 * padding, c_in), np.uint8)
+            _pad_into(xp, codes, padding, zp_in)
             if in_form != "u8":
                 arena.release(codes)
         else:
             xp = codes
-        # Merged im2col straight into integer-valued float32 (the cast
-        # fuses into the gather copy; K-panels then slice with no copy).
-        cols = arena.acquire((cols_rows, n * spatial))
-        windows = sliding_window_view(xp, (kernel, kernel), axis=(2, 3))[:, :, ::stride, ::stride]
-        np.copyto(
-            cols.reshape(c_in, kernel, kernel, n, oh, ow),
-            windows.transpose(1, 4, 5, 0, 2, 3),
-        )
+        # im2col straight into integer-valued float32 (the cast fuses
+        # into the gather copy; K-panels then slice with no copy).
+        cols = _im2col_into(arena.acquire((n, oh, ow, kernel, kernel, c_in)), xp, kernel, stride)
         if padding or in_form != "u8":
             arena.release(xp)
-        m = n * spatial
-        acc = arena.acquire((c_out, m), np.float64)
-        part = arena.acquire((c_out, m))
-        chunked_int_gemm(w_mat, cols, acc, part)
+        acc = arena.acquire((n, oh, ow, c_out), np.float64)
+        part = arena.acquire((n, oh, ow, c_out))
+        chunked_int_gemm(cols.reshape(-1, k_dim), w_mat,
+                         acc.reshape(-1, c_out), part.reshape(-1, c_out))
         arena.release(cols)
         arena.release(part)
         acc -= zp_term
-        om = finish(acc)
-        out = arena.acquire((n, c_out, oh, ow), out_dtype)
-        np.copyto(out.reshape(n, c_out, spatial), om.reshape(c_out, n, spatial).transpose(1, 0, 2))
-        arena.release(om)
-        return out
+        return finish(acc)
 
     return run
 
@@ -581,36 +553,29 @@ def _bind_qgemm(node: PlanNode, in_shape, out_shape, arena: Arena, in_form: str)
     out_features = out_shape[0]
     q_in = node.qconfig["input"]
     s_in, zp_in = float(q_in.scale), int(q_in.zero_point)
-    w_mat, s_w, row_sums = _quantized_codes_matrix(node)
-    finish, out_dtype = _make_int_epilogue(node, s_in, s_w, arena)
-    zp_term = (zp_in * row_sums)[:, None]
+    w_mat, s_w, col_sums = _quantized_codes_matrix(node)
+    finish = _make_int_epilogue(node, s_in, s_w, arena)
+    zp_term = zp_in * col_sums
     in_name = node.inputs[0]
 
     def run(env: dict[str, np.ndarray]) -> np.ndarray:
         x = env[in_name]
         n = x.shape[0]
-        cols = arena.acquire((k_in, n))
+        cols = arena.acquire((n, k_in))
         if in_form == "u8":
-            np.copyto(cols, x.T)
+            np.copyto(cols, x)
         else:
-            q = arena.acquire((n, k_in))
-            np.divide(x, s_in, out=q)
-            np.rint(q, out=q)
-            q += zp_in
-            np.clip(q, 0.0, 255.0, out=q)
-            np.copyto(cols, q.T)
-            arena.release(q)
-        acc = arena.acquire((out_features, n), np.float64)
-        part = arena.acquire((out_features, n))
-        chunked_int_gemm(w_mat, cols, acc, part)
+            np.divide(x, s_in, out=cols)
+            np.rint(cols, out=cols)
+            cols += zp_in
+            np.clip(cols, 0.0, 255.0, out=cols)
+        acc = arena.acquire((n, out_features), np.float64)
+        part = arena.acquire((n, out_features))
+        chunked_int_gemm(cols, w_mat, acc, part)
         arena.release(cols)
         arena.release(part)
         acc -= zp_term
-        om = finish(acc)
-        out = arena.acquire((n, out_features), out_dtype)
-        np.copyto(out, om.T)
-        arena.release(om)
-        return out
+        return finish(acc)
 
     return run
 
@@ -695,10 +660,9 @@ def _bind_qmax_pool(node: PlanNode, out_shape, arena: Arena):
 
     def run(env: dict[str, np.ndarray]) -> np.ndarray:
         x = env[in_name]
-        windows = sliding_window_view(x, (kernel, kernel), axis=(2, 3))[:, :, ::stride, ::stride]
         dtype = np.uint8 if q_out is not None else np.float32
-        out = arena.acquire((x.shape[0], c, oh, ow), dtype)
-        np.max(windows, axis=(-2, -1), out=out)
+        out = arena.acquire((x.shape[0], oh, ow, c), dtype)
+        np.max(_pool_windows(x, kernel, stride), axis=(-2, -1), out=out)
         if q_out is None:
             _dequant_epilogue(out, float(q_in.scale), int(q_in.zero_point))
         return out
@@ -726,7 +690,7 @@ def _bind_qrelu(node: PlanNode, arena: Arena, inplace: bool):
     return run
 
 
-def _bind_qflatten(node: PlanNode, out_shape, arena: Arena):
+def _bind_qflatten(node: PlanNode, in_shape, out_shape, arena: Arena):
     """Flatten on codes: a reshape copy (plus dequant when leaving u8)."""
     flat = out_shape[0]
     q_in = node.qconfig["input"]
@@ -737,7 +701,7 @@ def _bind_qflatten(node: PlanNode, out_shape, arena: Arena):
         x = env[in_name]
         dtype = np.uint8 if q_out is not None else np.float32
         out = arena.acquire((x.shape[0], flat), dtype)
-        np.copyto(out, x.reshape(x.shape[0], flat))
+        np.copyto(out.reshape(x.shape[0], *in_shape), channels_last(x, inverse=True))
         if q_out is None:
             _dequant_epilogue(out, float(q_in.scale), int(q_in.zero_point))
         return out
@@ -759,7 +723,7 @@ def _bind_qgap(node: PlanNode, out_shape, arena: Arena):
     def run(env: dict[str, np.ndarray]) -> np.ndarray:
         x = env[in_name]
         out = arena.acquire((x.shape[0], channels))
-        np.mean(x, axis=(2, 3), dtype=np.float32, out=out)
+        np.mean(x, axis=(1, 2), dtype=np.float32, out=out)
         return _dequant_epilogue(out, s, zp)
 
     return run
@@ -885,9 +849,9 @@ def _bind_step(
             run = _bind_global_avg_pool(node, out_shape, arena)
     elif kind == "Flatten":
         if variant == "flatten.u8":
-            run = _bind_qflatten(node, out_shape, arena)
+            run = _bind_qflatten(node, in_shape, out_shape, arena)
         else:
-            run = _bind_flatten(node, out_shape, arena)
+            run = _bind_flatten(node, in_shape, out_shape, arena)
     else:  # pragma: no cover - guarded by runtime op validation
         raise ValueError(f"cannot bind kernel for operator {kind!r}")
 
@@ -977,7 +941,7 @@ class InferencePlan:
                 f"repro.serve.PlanServer) to run batches in parallel"
             )
         try:
-            env: dict[str, np.ndarray] = {_INPUT: x}
+            env: dict[str, np.ndarray] = {_INPUT: channels_last(x)}
             arena = self.arena
             for step in self.steps:
                 env[step.output] = step.run(env)

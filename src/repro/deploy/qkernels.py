@@ -112,40 +112,41 @@ def requantize(
 
 
 def chunked_int_gemm(
-    w_codes_f32: np.ndarray,
-    a_codes_f32: np.ndarray,
+    lhs_f32: np.ndarray,
+    rhs_f32: np.ndarray,
     acc: np.ndarray,
     part_f32: np.ndarray,
 ) -> np.ndarray:
-    """Exact ``W_q @ A_q`` integer GEMM over float32 BLAS panels.
+    """Exact ``lhs @ rhs`` integer GEMM over float32 BLAS panels.
+
+    One operand holds int8 codes in [-128, 127], the other uint8 codes in
+    [0, 255], both as *integer-valued* float32 (the compiled plan passes
+    the ``(M, K)`` activation columns — their conversion fused into the
+    im2col gather — and the ``(K, C)`` weight codes).
 
     Parameters
     ----------
-    w_codes_f32:
-        Weight codes pre-converted to float32, shape ``(C, K)``.  Values
-        must be integers in [-128, 127] (int8 codes).
-    a_codes_f32:
-        Activation codes as *integer-valued* float32, shape ``(K, M)``
-        (uint8 codes in [0, 255]; the conversion is fused into the
-        caller's im2col gather, so K-panels are plain slices here with
-        no per-panel copy).
+    lhs_f32, rhs_f32:
+        ``(M, K)`` and ``(K, C)`` code matrices.  K-panels are plain
+        slices (a column slice of ``lhs`` is a strided BLAS operand), so
+        no per-panel copy is made.
     acc:
-        float64 ``(C, M)`` accumulator (arena scratch); overwritten with
+        float64 ``(M, C)`` accumulator (arena scratch); overwritten with
         the exact integer result.
     part_f32:
-        float32 ``(C, M)`` per-panel GEMM output scratch.
+        float32 ``(M, C)`` per-panel GEMM output scratch.
 
     Returns ``acc`` (float64 holding exact integers).
     """
-    k = w_codes_f32.shape[1]
+    k = lhs_f32.shape[1]
     if k <= K_CHUNK:
-        np.matmul(w_codes_f32, a_codes_f32, out=part_f32)
+        np.matmul(lhs_f32, rhs_f32, out=part_f32)
         acc[...] = part_f32
         return acc
     acc.fill(0.0)
     for k0 in range(0, k, K_CHUNK):
         k1 = min(k0 + K_CHUNK, k)
-        np.matmul(w_codes_f32[:, k0:k1], a_codes_f32[k0:k1], out=part_f32)
+        np.matmul(lhs_f32[:, k0:k1], rhs_f32[k0:k1], out=part_f32)
         acc += part_f32
     return acc
 

@@ -38,11 +38,13 @@ def plan_weight_arrays(nodes) -> "Iterator[tuple[str, str, np.ndarray]]":
     Walks the :class:`~repro.deploy.passes.PlanNode` weight dicts in a
     deterministic order.  After :func:`~repro.deploy.plan.compile_plan`
     has bound a template once, these dicts hold *everything* the kernels
-    capture — fused fp32 matrices ("weight", "bias", "scale", "shift"),
-    GEMM transposes ("weight_t"), int8 code matrices and per-channel
-    scales ("w_codes_f32", "w_scales", "w_row_sums") and Winograd
-    transforms ("winograd_u") — so publishing exactly this set into a
-    shared-memory segment covers every kernel variant a rebind can pick.
+    capture — fp32 Conv/Gemm weights as ``(K, C_out)`` GEMM operands
+    ("weight_k", which replaces the folded "weight" at bind time),
+    biases and unfused BatchNorm affines ("bias", "scale", "shift"),
+    int8 code matrices and per-channel scales ("w_codes_f32",
+    "w_scales", "w_col_sums") and Winograd transforms ("winograd_u") —
+    so publishing exactly this set into a shared-memory segment covers
+    every kernel variant a rebind can pick.
     """
     for node in nodes:
         for role in sorted(node.weights):

@@ -40,7 +40,8 @@ def leak_audit():
     """Fail a test that leaves shared memory, child processes or server
     threads behind.
 
-    Serving tests opt in through ``pytestmark``.  After a short grace for
+    The serving, executor, fabric and obs-integration suites opt in
+    through ``pytestmark``.  After a short grace for
     joins in flight, any new ``/dev/shm/psm_*`` segment, live
     ``multiprocessing`` child, or live dispatcher/autoscaler thread
     (named ``repro-fleet-*``) is a leak.

@@ -5,27 +5,39 @@ the interpreted onnxlite runtime and the repro.nn training stack — to
 tight tolerance across fuzzed search-space configs (fp32 and quantized),
 its kernel grouping must match what the latency predictors price, and
 its static release schedule must never free a buffer that is still read
-(guarded by NaN-poisoning released arena slots in debug mode).
+(guarded by NaN-poisoning released arena slots in debug mode).  Each conv
+kernel (fp32 im2col, Winograd, int8) is forced in turn at batch 1, 3 and
+16, and the int8 conv's channels-last accumulator is checked against an
+int64 reference.
 """
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.deploy import Arena, compile_plan, load_runtime
-from repro.deploy.passes import build_plan_nodes, fuse_operators, toposort_nodes
+from repro.deploy import Arena, OnnxliteRuntime, compile_plan, load_runtime, plan_weight_arrays
+from repro.deploy.passes import PlanNode, build_plan_nodes, fuse_operators, toposort_nodes
+from repro.deploy.plan import _bind_qconv, channels_last
+from repro.deploy.winograd import WINOGRAD_VARIANT, winograd_eligible
 from repro.graph.trace import trace_model
 from repro.latency.fusion import FUSION_RULES, fuse_graph, fusion_rule
 from repro.nas.config import ModelConfig
 from repro.nn import SearchableResNet18, build_model
 from repro.onnxlite.export import export_model
 from repro.onnxlite.reader import proto_from_bytes
+from repro.onnxlite.schema import TensorProto
+from repro.quant.affine import AffineQuantizer
+from repro.quant.calibrate import calibrate_activations
 from repro.quant.export import export_quantized_model
 from repro.quant.model import fake_quantize_model
 from repro.tensor.tensor import Tensor, no_grad
 
 ATOL = 1e-4
 RTOL = 1e-3
+#: Input sizes on both sides of 256 positions per image after the stem
+#: (24 -> 12x12 = 144, 32 -> 256, 100 -> 2,500).
+SIZES = (24, 32, 100)
+BATCHES = (1, 3, 16)
 
 
 def _model(**kw):
@@ -39,6 +51,18 @@ def _reference_logits(model, x):
     model.eval()
     with no_grad():
         return model(Tensor(x)).data
+
+
+def _conv_variants(proto, variant):
+    """Force ``variant`` onto every Conv of ``proto`` that admits it."""
+    return {op.name: variant for op in proto.operators if op.op_type == "Conv"
+            and (variant != WINOGRAD_VARIANT or winograd_eligible(op.attrs))}
+
+
+def _batches(size, seed=0):
+    """Batches of each size in BATCHES, each a prefix of one image pool."""
+    pool = np.random.default_rng(seed).normal(size=(max(BATCHES), 5, size, size))
+    return [pool[:n].astype(np.float32) for n in BATCHES]
 
 
 def _config(channels, kernel, stride, pool, feature):
@@ -118,6 +142,69 @@ class TestEquivalence:
         plan = runtime.compile()
         x = np.random.default_rng(3).normal(size=(8, 5, 32, 32)).astype(np.float32)
         np.testing.assert_array_equal(plan.predict(x), runtime.predict(x))
+
+    @pytest.mark.parametrize("size", SIZES)
+    @pytest.mark.parametrize("variant", ["conv.im2col.f32", WINOGRAD_VARIANT])
+    def test_forced_fp32_conv_variant_at_every_batch_size(self, size, variant):
+        runtime = load_runtime(export_model(_model(), input_hw=(size, size)))
+        forced = _conv_variants(runtime.proto, variant)
+        assert forced
+        plan = runtime.compile(poison=True, variants=forced)
+        assert all(plan.kernel_variants()[name] == variant for name in forced)
+        for x in _batches(size):
+            compiled = plan.run(x)
+            assert np.isfinite(compiled).all()
+            np.testing.assert_allclose(compiled, runtime.run(x), rtol=RTOL, atol=ATOL)
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_forced_int8_conv_at_every_batch_size(self, size):
+        proto = proto_from_bytes(export_quantized_model(_model(), input_hw=(size, size)))
+        calibrate_activations(proto, _batches(size, seed=1)[-1])
+        runtime = OnnxliteRuntime(proto)
+        forced = _conv_variants(proto, "conv.im2col.int8")
+        plan = runtime.compile(poison=True, variants=forced)
+        assert all(plan.kernel_variants()[name] == "conv.im2col.int8" for name in forced)
+        batches = _batches(size)
+        full = plan.run(batches[-1])
+        for x in batches:
+            compiled = plan.run(x)
+            # Quantization tolerance (see tests/test_qkernels.py).
+            assert np.abs(compiled - runtime.run(x)).max() <= 0.08
+            # The integer path is exact, so a row never depends on the
+            # batch it ran in: each batch reproduces its rows of batch 16.
+            np.testing.assert_array_equal(compiled, full[: len(x)])
+
+    def test_int8_conv_accumulator_matches_int64_reference(self):
+        """The channels-last int8 conv accumulates exactly.
+
+        Unit scales, no bias and a float32 epilogue make the epilogue the
+        identity, so the kernel's output *is* its zero-point-folded
+        accumulator.  K = 9 * 64 = 576 spans two K-panels.
+        """
+        n, c_in, c_out, hw, stride, padding, zp = 3, 64, 8, 9, 2, 1, 7
+        oh = (hw + 2 * padding - 3) // stride + 1
+        rng = np.random.default_rng(0)
+        codes = rng.integers(-128, 128, size=(c_out, c_in, 3, 3)).astype(np.int8)
+        x = rng.integers(0, 256, size=(n, c_in, hw, hw)).astype(np.uint8)
+        node = PlanNode(
+            name="conv", op_type="Conv", inputs=["x"], output="y",
+            attrs={"kernel": 3, "stride": stride, "padding": padding},
+            qweight=TensorProto("conv.weight", codes, scale=1.0),
+            qconfig={"input": AffineQuantizer(scale=1.0, zero_point=zp), "output": None},
+        )
+        run = _bind_qconv(node, (c_in, hw, hw), (c_out, oh, oh), Arena(poison=True), "u8")
+        got = run({"x": np.ascontiguousarray(channels_last(x))})
+
+        # Independent int64 reference in NCHW; padding at the zero point
+        # contributes nothing once zp is subtracted.
+        xp = np.pad(x.astype(np.int64) - zp, ((0, 0), (0, 0), (padding,) * 2, (padding,) * 2))
+        ref = np.zeros((n, c_out, oh, oh), np.int64)
+        for i in range(3):
+            for j in range(3):
+                window = xp[:, :, i : i + stride * oh : stride, j : j + stride * oh : stride]
+                ref += np.einsum("nchw,oc->nohw", window, codes[:, :, i, j].astype(np.int64))
+        assert np.abs(ref).max() < 2**24  # the float32 output carries it exactly
+        np.testing.assert_array_equal(channels_last(got, inverse=True), ref)
 
     def test_input_is_never_mutated(self):
         plan = load_runtime(export_model(_model(), input_hw=(32, 32))).compile()
@@ -242,6 +329,21 @@ class TestMemoryPlanning:
         assert (not np.isfinite(corrupted).all()) or not np.allclose(
             corrupted, baseline, rtol=1e-3, atol=1e-4
         )
+
+    def test_fp32_plan_keeps_one_copy_of_each_weight(self, winner_config):
+        """Bound weights stay within one fp32 copy of each folded weight
+        (plus the Gemm transpose): a conv keeping both its OIHW weight and
+        its channels-last GEMM copy would fail this."""
+        runtime = load_runtime(export_model(build_model(winner_config, seed=0), input_hw=(24, 24)))
+        plan = runtime.compile()
+        budget = 0
+        for op in runtime.proto.operators:
+            if op.op_type in ("Conv", "Gemm"):
+                weight = runtime.proto.initializer(f"{op.name}.weight").data
+                copies = 2 if op.op_type == "Gemm" else 1
+                budget += 4 * (copies * weight.size + weight.shape[0])  # + bias
+        held = sum(arr.nbytes for _, _, arr in plan_weight_arrays(plan.blueprint.nodes))
+        assert 0 < held <= budget
 
     def test_arena_rejects_foreign_buffers(self):
         arena = Arena()

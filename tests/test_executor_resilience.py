@@ -3,6 +3,9 @@
 The process-pool tests spawn real worker processes and kill them with
 ``os._exit`` through a file latch (:class:`repro.faults.KillSwitch`), so
 each kill fires exactly once even across pool respawns.
+
+Every test runs under the ``leak_audit`` fixture: a pool that outlives
+its test (a live worker process) fails it.
 """
 
 from __future__ import annotations
@@ -17,6 +20,8 @@ from repro.parallel import (
     ProcessPoolExecutorBackend,
     SerialExecutor,
 )
+
+pytestmark = pytest.mark.usefixtures("leak_audit")
 
 # --------------------------------------------------------------------------
 # Top-level task functions (must be picklable for the process backend).

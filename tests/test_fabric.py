@@ -5,6 +5,10 @@ sweep suffering a SIGKILLed pool worker, an injected node death, a
 heartbeat-loss window, a Ctrl-C and a truncated shard tail resumes —
 under a *different* shard count — to analysis records bitwise-equal to a
 fault-free serial run.
+
+Every test runs under the ``leak_audit`` fixture: killed, interrupted
+and resumed sweeps must leave no worker process or shared-memory
+segment behind.
 """
 
 from __future__ import annotations
@@ -48,6 +52,8 @@ from repro.nas.fabric.lease import TrialTask
 from repro.nas.retry import NodeKilledError, WorkerLostError, classify_error
 from repro.nas.searchspace import SearchSpace
 from repro.parallel import ProcessPoolExecutorBackend, pick_steal_victim
+
+pytestmark = pytest.mark.usefixtures("leak_audit")
 
 SPACE = SearchSpace(
     kernel_size=(3,), stride=(2,), padding=(1,), pool_choice=(0, 1),

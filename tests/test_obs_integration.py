@@ -7,6 +7,9 @@
 - A chaos run through ``evaluate(configs, resilient=True)`` stitches
   worker "evaluate" spans to the caller's span.
 - The deprecated evaluator shims warn but return bitwise-equal values.
+
+Every test runs under the ``leak_audit`` fixture: no worker process may
+outlive its test.
 """
 
 from __future__ import annotations
@@ -29,6 +32,8 @@ from repro.nas import (
 from repro.nas.config import ModelConfig
 from repro.nas.searchspace import DEFAULT_SPACE
 from repro.obs import aggregate_metrics, read_events, render_report, span_coverage
+
+pytestmark = pytest.mark.usefixtures("leak_audit")
 
 
 @pytest.fixture()

@@ -30,7 +30,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.deploy import autotune_variants, compile_plan
 from repro.deploy.passes import PlanNode
-from repro.deploy.plan import Arena, _bind_conv
+from repro.deploy.plan import Arena, _bind_conv, channels_last
 from repro.deploy.qkernels import (
     K_CHUNK,
     chunked_int_gemm,
@@ -145,7 +145,8 @@ class TestWinograd:
         oh, ow = h + 2 * padding - 2, w + 2 * padding - 2
         in_shape, out_shape = (c_in, h, w), (c_out, oh, ow)
         rng = np.random.default_rng(seed + 1)
-        x = rng.standard_normal((batch, *in_shape)).astype(np.float32)
+        x = channels_last(rng.standard_normal((batch, *in_shape)).astype(np.float32))
+        x = np.ascontiguousarray(x)  # kernels read the plan's channels-last buffers
         ref = _bind_conv(node, in_shape, out_shape, Arena())({"x": x})
         got = bind_winograd_conv(node, in_shape, out_shape, Arena())({"x": x})
         np.testing.assert_allclose(got, ref, atol=5e-5, rtol=1e-5)
