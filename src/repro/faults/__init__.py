@@ -2,21 +2,21 @@
 
 Generalizes :mod:`repro.nas.failures` (the paper's 11-of-1,728 preset)
 into a full chaos harness: typed exceptions, latency spikes, per-trial
-hangs (for deadline tests), worker kills and store-line corruption, all
-driven by a seeded schedule so every chaos test is exactly repeatable.
+hangs (for deadline tests), once-only kill latches, node faults and
+store-line corruption, all driven by a seeded schedule so every chaos
+test is exactly repeatable.
 
 The harness *proves* the fault-tolerance layer: `tests/test_chaos_resume.py`
-injects transients, a worker kill and a truncated store tail into one
-sweep and asserts the recovered, resumed results are bitwise-equal to a
-fault-free serial run.
+injects transients, a worker kill (through
+:class:`~repro.nas.fabric.NodeEvaluator`) and a truncated store tail into
+one sweep and asserts the recovered, resumed results are bitwise-equal
+to a fault-free serial run.
 """
 
 from repro.faults.harness import (
     Fault,
     FaultKind,
     FaultPlan,
-    FaultyEvaluator,
-    InjectedPermanentError,
     InjectedTransientError,
     KillSwitch,
     NodeFault,
@@ -31,8 +31,6 @@ __all__ = [
     "Fault",
     "FaultKind",
     "FaultPlan",
-    "FaultyEvaluator",
-    "InjectedPermanentError",
     "InjectedTransientError",
     "KillSwitch",
     "NodeFault",

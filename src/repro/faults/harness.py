@@ -13,12 +13,11 @@ Building blocks
   11-of-1,728 accounting) and ``on_attempt(trial_id, attempt)`` (raises
   transient errors, sleeps latency spikes, simulates hangs that honor
   the active :func:`~repro.nas.retry.current_deadline`).
-- :class:`FaultyEvaluator` — config-keyed faults on the evaluator path,
-  including **worker kills**: the scheduled trial is routed through a
-  process pool whose worker ``os._exit``\\ s before evaluating (a
-  file-latch guarantees the kill fires exactly once, even across a
-  resume), exercising pool respawn + requeue in
-  :meth:`~repro.parallel.Executor.map_resilient`.
+- :class:`KillSwitch` — a crash-safe once-only file latch.  A
+  :class:`~repro.nas.fabric.NodeEvaluator` given ``kill_config_ids``
+  fires one inside its pool worker, which ``os._exit``\\ s before
+  evaluating (exactly once, even across a resume), exercising pool
+  respawn + requeue in :meth:`~repro.parallel.Executor.map_resilient`.
 - :func:`corrupt_store_tail` — deterministic JSONL tail corruption
   (truncate / garbage / partial append), the exact artifact a writer
   killed mid-append leaves behind.
@@ -33,29 +32,17 @@ import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import Callable, Iterable
 
 from repro.nas.failures import FailureInjector
-from repro.nas.retry import (
-    NodeKilledError,
-    PermanentTrialError,
-    TransientTrialError,
-    current_deadline,
-)
+from repro.nas.retry import NodeKilledError, TransientTrialError, current_deadline
 from repro.utils.rng import rng_from_seed, stable_hash
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.nas.config import ModelConfig
-    from repro.nas.evaluators import AccuracyEvaluator, EvalResult
-    from repro.parallel.executor import Executor
 
 __all__ = [
     "FaultKind",
     "Fault",
     "FaultPlan",
-    "FaultyEvaluator",
     "InjectedTransientError",
-    "InjectedPermanentError",
     "KillSwitch",
     "NodeFault",
     "NodeFaultKind",
@@ -70,10 +57,6 @@ class InjectedTransientError(TransientTrialError):
     """A scheduled transient fault (recoverable by retry)."""
 
 
-class InjectedPermanentError(PermanentTrialError):
-    """A scheduled permanent fault (fails its trial, not the sweep)."""
-
-
 class FaultKind(str, enum.Enum):
     """What kind of fault a schedule entry injects."""
 
@@ -81,7 +64,6 @@ class FaultKind(str, enum.Enum):
     TRANSIENT = "transient"  # raises on the first `attempts` attempts, then heals
     LATENCY_SPIKE = "latency_spike"  # sleeps `delay_s` inside the attempt
     HANG = "hang"  # sleeps until the trial deadline expires (or `delay_s` cap)
-    WORKER_KILL = "worker_kill"  # pool worker os._exit (FaultyEvaluator path)
 
 
 @dataclass(frozen=True)
@@ -305,76 +287,6 @@ class KillSwitch:
         """
         if self.acquire():
             os._exit(exit_code)
-
-
-def _pool_eval(task: "tuple[AccuracyEvaluator, ModelConfig, str | None]") -> "EvalResult":
-    """Pool-side evaluation task: optionally die first, then evaluate."""
-    evaluator, config, latch_path = task
-    if latch_path is not None:
-        KillSwitch(latch_path).fire_once()
-    return evaluator.evaluate(config)
-
-
-class FaultyEvaluator:
-    """Wraps an accuracy evaluator with config-keyed injected faults.
-
-    Parameters
-    ----------
-    inner:
-        The real evaluator (must be picklable when ``executor`` is a
-        process pool).
-    kill_config_ids:
-        ``config_id()`` values whose evaluation must suffer one worker
-        kill.  With a process-pool ``executor`` the trial is routed
-        through :meth:`~repro.parallel.Executor.map_resilient`; the
-        worker latches the kill (:class:`KillSwitch`), dies with
-        ``os._exit``, and the respawned pool's requeued attempt returns
-        the *real* result — the trial still succeeds.  Without an
-        executor the kill degrades to an in-process
-        :class:`InjectedTransientError` (dying for real would take the
-        test runner with it).
-    latch_dir:
-        Directory for the kill latches (required with kills).
-    executor:
-        Optional :class:`~repro.parallel.Executor` for the kill path.
-    """
-
-    def __init__(
-        self,
-        inner: "AccuracyEvaluator",
-        kill_config_ids: Iterable[str] = (),
-        latch_dir: str | Path | None = None,
-        executor: "Executor | None" = None,
-    ) -> None:
-        self.inner = inner
-        self.kill_config_ids = frozenset(kill_config_ids)
-        if self.kill_config_ids and latch_dir is None:
-            raise ValueError("kill_config_ids requires latch_dir for the once-only latches")
-        self.latch_dir = Path(latch_dir) if latch_dir is not None else None
-        self.executor = executor
-        #: Kills that actually fired through the pool path.
-        self.kills_fired = 0
-
-    def evaluate(self, config: "ModelConfig") -> "EvalResult":
-        cid = config.config_id()
-        if cid not in self.kill_config_ids:
-            return self.inner.evaluate(config)
-        assert self.latch_dir is not None
-        latch = self.latch_dir / f"kill-{cid}.latch"
-        if self.executor is None:
-            # No pool to kill: degrade to a retryable in-process fault.
-            if KillSwitch(latch).acquire():
-                raise InjectedTransientError(f"injected worker kill (in-process) for {cid}")
-            return self.inner.evaluate(config)
-        fired_before = latch.exists()
-        [result] = self.executor.map_resilient(_pool_eval, [(self.inner, config, str(latch))])
-        if latch.exists() and not fired_before:
-            self.kills_fired += 1
-        if not result.ok:
-            raise InjectedPermanentError(
-                f"worker-kill trial did not recover: {result.error_type}: {result.error}"
-            )
-        return result.value
 
 
 # ---------------------------------------------------------------------------

@@ -312,7 +312,7 @@ def cross_validate_model(
     ]
     if executor is not None:
         return _map_folds(executor, tasks, settings)
-    with make_executor(settings.executor, workers=settings.workers, chunksize=1) as owned:
+    with make_executor(settings.executor, workers=settings.workers) as owned:
         return _map_folds(owned, tasks, settings)
 
 

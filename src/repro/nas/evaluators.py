@@ -9,21 +9,19 @@ Two backends share one interface:
 - :class:`~repro.nas.surrogate.SurrogateEvaluator` — the calibrated
   analytic substitute used for the full 1,717-trial sweeps.
 
-Batched evaluation is one entry point since the obs consolidation:
-``evaluate(configs, resilient=...)`` accepts either a single
+Batched evaluation is one entry point: ``evaluate(configs,
+resilient=...)`` accepts either a single
 :class:`~repro.nas.config.ModelConfig` (returning a bare
 :class:`EvalResult`, the contract the Experiment runner uses) or a
 sequence of them (returning a list of :class:`EvalOutcome` envelopes —
-result-or-failure plus attempts, duration and the worker's span id).
-The pre-consolidation names ``evaluate_many`` and
-``evaluate_many_resilient`` remain as deprecated shims that return
-bitwise-identical values to what they always returned.
+result-or-failure plus duration and the worker's span id).  A batch
+runs each trial once; trial retries belong to
+:func:`repro.nas.retry.run_with_retry`.
 """
 
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -52,19 +50,17 @@ class EvalOutcome:
     Returned (one per input, in input order) by
     ``TrainingEvaluator.evaluate(configs, ...)`` when ``configs`` is a
     sequence.  ``result`` is ``None`` exactly when ``ok`` is false;
-    ``error`` then carries ``"ErrorType: message"``.  ``attempts``
-    counts executions of the trial (>1 only under ``resilient=True``
-    with retries), ``duration_s`` is the worker-side wall time of the
-    evaluation, and ``span_id`` is the id of the worker's
-    ``"evaluate"`` span (empty while observability is disabled) so a
-    trace viewer can be joined back to the outcome.
+    ``error`` then carries ``"ErrorType: message"``.  ``duration_s``
+    is the worker-side wall time of the evaluation, and ``span_id`` is
+    the id of the worker's ``"evaluate"`` span (empty while
+    observability is disabled) so a trace viewer can be joined back to
+    the outcome.
     """
 
     config: ModelConfig
     ok: bool
     result: EvalResult | None = None
     error: str = ""
-    attempts: int = 1
     duration_s: float = 0.0
     span_id: str = ""
 
@@ -146,9 +142,7 @@ class TrainingEvaluator(AccuracyEvaluator):
     def _fold_executor(self) -> Executor:
         """The lazily created, reused fold executor."""
         if self._executor is None:
-            self._executor = make_executor(
-                self.settings.executor, workers=self.settings.workers, chunksize=1
-            )
+            self._executor = make_executor(self.settings.executor, workers=self.settings.workers)
         return self._executor
 
     def close(self) -> None:
@@ -192,9 +186,9 @@ class TrainingEvaluator(AccuracyEvaluator):
         Single :class:`~repro.nas.config.ModelConfig`
             Runs k-fold CV through the evaluator's (reused) fold
             executor and returns a bare :class:`EvalResult` — the
-            contract the Experiment runner and every pre-consolidation
-            caller relies on.  ``resilient=True`` is rejected here:
-            resilience is a property of batched maps.
+            contract the Experiment runner relies on.
+            ``resilient=True`` is rejected here: resilience is a
+            property of batched maps.
 
         Sequence of configurations
             Parallelizes across *trials* (one task per configuration;
@@ -243,9 +237,7 @@ class TrainingEvaluator(AccuracyEvaluator):
         """Run the batch through a fresh trial executor; returns raw items."""
         ctx = obs.propagated_context()
         tasks = [(self, config, ctx) for config in configs]
-        with make_executor(
-            self.settings.executor, workers=self.settings.workers, chunksize=1
-        ) as executor:
+        with make_executor(self.settings.executor, workers=self.settings.workers) as executor:
             if resilient:
                 return executor.map_resilient(_evaluate_trial, tasks)
             return [
@@ -253,59 +245,16 @@ class TrainingEvaluator(AccuracyEvaluator):
                 for i, value in enumerate(executor.map(_evaluate_trial, tasks))
             ]
 
-    # -- deprecated pre-consolidation entry points ---------------------------
-
-    def evaluate_many(self, configs: Sequence[ModelConfig]) -> list[EvalResult]:
-        """Deprecated: use :meth:`evaluate` with a sequence.
-
-        .. deprecated:: PR 4
-            ``evaluate_many(configs)`` is ``[o.unwrap() for o in
-            evaluate(configs)]``.  Returns bitwise-identical values.
-        """
-        warnings.warn(
-            "TrainingEvaluator.evaluate_many() is deprecated; "
-            "use evaluate(configs) and unwrap the EvalOutcome envelopes",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return [outcome.unwrap() for outcome in self.evaluate(list(configs))]
-
-    def evaluate_many_resilient(self, configs: Sequence[ModelConfig]) -> list["MapItemResult"]:
-        """Deprecated: use :meth:`evaluate` with ``resilient=True``.
-
-        .. deprecated:: PR 4
-            ``evaluate(configs, resilient=True)`` returns
-            :class:`EvalOutcome` envelopes instead of raw
-            :class:`~repro.parallel.MapItemResult`; this shim converts
-            back (``.value`` carries the bitwise-identical
-            :class:`EvalResult`).
-        """
-        warnings.warn(
-            "TrainingEvaluator.evaluate_many_resilient() is deprecated; "
-            "use evaluate(configs, resilient=True) and the EvalOutcome envelopes",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        items = self._map_trials(list(configs), resilient=True)
-        for item in items:
-            if item.ok:
-                item.value = item.value.result
-        return items
-
 
 def _outcome_from_item(item: "MapItemResult", config: ModelConfig) -> EvalOutcome:
     """Fold a resilient-map item and its worker envelope into one outcome."""
     if item.ok:
-        outcome: EvalOutcome = item.value
-        if item.attempts > outcome.attempts:
-            outcome = replace(outcome, attempts=item.attempts)
-        return outcome
+        return item.value
     return EvalOutcome(
         config=config,
         ok=False,
         result=None,
         error=f"{item.error_type}: {item.error}" if item.error_type else item.error,
-        attempts=item.attempts,
     )
 
 
@@ -318,7 +267,7 @@ def _evaluate_trial(
     ``"evaluate"`` (and nested ``"fold"``) spans stitch into the parent
     trace even when this runs in a pool worker process.
     """
-    evaluator, config, ctx = (task if len(task) == 3 else (*task, None))
+    evaluator, config, ctx = task
     with obs.adopt_context(ctx):
         started = time.perf_counter()
         with obs.span("evaluate", config=config.config_id()) as sp:

@@ -9,11 +9,11 @@ fixed subset of trial indices as failed, and 'paper mode' picks exactly
 
 This module is the minimal, paper-faithful injector.  The general chaos
 harness — typed transient exceptions, latency spikes, deadline-testing
-hangs, worker kills, store-tail corruption — lives in
-:mod:`repro.faults`; its :meth:`repro.faults.FaultPlan.paper_mode`
-preset selects the *same* 11 trial indices as this injector for the same
-seed (it delegates to :meth:`FailureInjector.paper_mode`), so either can
-drive the paper accounting.
+hangs, store-tail corruption — lives in :mod:`repro.faults`; its
+:meth:`repro.faults.FaultPlan.paper_mode` preset selects the *same* 11
+trial indices as this injector for the same seed (it delegates to
+:meth:`FailureInjector.paper_mode`), so either can drive the paper
+accounting.
 """
 
 from __future__ import annotations
@@ -71,12 +71,4 @@ class FailureInjector:
         return (
             f"FailureInjector(total={self.total}, failures={self.failures}, "
             f"failed={sorted(self._failed)})"
-        )
-
-    def to_fault_plan(self) -> "object":
-        """The equivalent :class:`repro.faults.FaultPlan` (same trial set)."""
-        from repro.faults import Fault, FaultKind, FaultPlan  # lazy: avoid cycle
-
-        return FaultPlan(
-            (Fault(FaultKind.TRIAL_FAILURE, t) for t in sorted(self._failed)),
         )

@@ -5,16 +5,12 @@ combination); :class:`RunTelemetry` captures the equivalent statistics
 for this library's sweeps and renders them live through the Experiment's
 progress callback.
 
-Since the :mod:`repro.obs` consolidation, :class:`RunTelemetry` is built
-*on top of* the metrics substrate: it implements the
-:class:`~repro.obs.ProgressListener` protocol (so it can be passed
-directly as ``Experiment(progress=...)`` alongside other listeners) and
-mirrors its counters into a private per-run
-:class:`~repro.obs.MetricsRegistry` (:attr:`RunTelemetry.registry`),
-which makes a finished run exportable through any obs sink —
-``prometheus_text(telemetry.registry.snapshot())`` renders the same
-numbers :meth:`summary` prints.  The mutable public fields
-(``durations``, ``failures``, ``retried_trials``, ...) are unchanged.
+:class:`RunTelemetry` implements the :class:`~repro.obs.ProgressListener`
+protocol, so it can be passed directly as ``Experiment(progress=...)``
+alongside other listeners.  It keeps plain per-run fields for the
+console lines; the exportable counters are written once, into the
+process-wide obs registry, by the :class:`~repro.obs.ObsProgressListener`
+that every ``Experiment`` and ``FabricSweep`` installs.
 """
 
 from __future__ import annotations
@@ -23,7 +19,6 @@ import time
 from dataclasses import dataclass, field
 
 from repro.nas.trial import TrialRecord
-from repro.obs import MetricsRegistry
 from repro.utils.timing import format_duration
 
 __all__ = ["RunTelemetry"]
@@ -55,12 +50,6 @@ class RunTelemetry:
     deadline_exceeded: int = 0
     failures_by_kind: dict = field(default_factory=dict)
     skipped_device_measurements: int = 0
-    #: Per-run metrics registry mirroring the counters above; always
-    #: enabled, independent of the process-wide obs registry, so a
-    #: finished run can be exported through any obs sink.
-    registry: MetricsRegistry = field(
-        default_factory=lambda: MetricsRegistry(enabled=True), repr=False, compare=False
-    )
     _done: int = 0
 
     def __call__(self, done: int, total: int, record: TrialRecord) -> None:
@@ -68,30 +57,18 @@ class RunTelemetry:
         self._done = done
         self.total = total
         self.durations.append(record.duration_s)
-        self.registry.histogram("repro_trial_duration_seconds").observe(record.duration_s)
         if record.attempts > 1:
             self.retried_trials += 1
             self.total_retries += record.attempts - 1
-            self.registry.counter("repro_trials_retried_total").inc()
-            self.registry.counter("repro_trial_retries_total").inc(record.attempts - 1)
             if record.ok:
                 self.recovered_trials += 1
-                self.registry.counter("repro_trials_recovered_total").inc()
         self.skipped_device_measurements += len(record.skipped_devices)
-        if record.skipped_devices:
-            self.registry.counter("repro_device_predictions_skipped_total").inc(
-                len(record.skipped_devices)
-            )
         if not record.ok:
             self.failures += 1
             kind = record.error_kind or "failed"
             self.failures_by_kind[kind] = self.failures_by_kind.get(kind, 0) + 1
-            self.registry.counter("repro_trials_total", status="failed").inc()
-            self.registry.counter("repro_trials_failed_total", kind=kind).inc()
             if kind == "deadline":
                 self.deadline_exceeded += 1
-        else:
-            self.registry.counter("repro_trials_total", status="ok").inc()
         if self.log_every and done % self.log_every == 0:
             print(f"  [{done}/{total}] {self.eta_line()}")
 

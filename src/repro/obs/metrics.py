@@ -212,9 +212,9 @@ class MetricsRegistry:
     enabled:
         Initial recording state.  The process-wide registry
         (:func:`repro.obs.registry`) starts disabled and is toggled by
-        :func:`repro.obs.configure` / :func:`repro.obs.shutdown`;
-        per-run registries (e.g. :class:`repro.nas.telemetry.RunTelemetry`)
-        are always on.
+        :func:`repro.obs.configure` / :func:`repro.obs.shutdown`; a
+        standalone registry built with ``enabled=True`` records from
+        the start.
 
     *Collectors* are zero-argument callables registered with
     :meth:`add_collector`; :meth:`snapshot` invokes them first so

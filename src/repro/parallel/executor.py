@@ -17,16 +17,19 @@ Two failure models are supported:
   sink the whole map, killed workers are respawned and their in-flight
   items requeued, and after ``max_pool_deaths`` consecutive pool deaths
   the backend degrades to serial execution for the remainder.
+
+Neither map retries a task that raised: trial retries belong to
+:func:`repro.nas.retry.run_with_retry` and its
+:class:`~repro.nas.retry.RetryPolicy`.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
-import math
 import os
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Sequence, TypeVar
+from dataclasses import dataclass
+from typing import Any, Callable, Sequence, TypeVar
 
 from repro.obs import config as _obs
 
@@ -57,7 +60,6 @@ _DEGRADED = _obs.counter("repro_executor_degraded_total")
 class MapItemResult:
     """Outcome of one item of a resilient map.
 
-    ``attempts`` counts executions of the item itself (task exceptions);
     ``requeues`` counts times the item was in flight when a worker pool
     died and had to be resubmitted.
     """
@@ -67,7 +69,6 @@ class MapItemResult:
     value: Any = None
     error: str = ""
     error_type: str = ""
-    attempts: int = 1
     requeues: int = 0
 
     def unwrap(self) -> Any:
@@ -77,22 +78,15 @@ class MapItemResult:
         return self.value
 
 
-def _run_item_serial(fn: Callable[[T], R], index: int, item: T, retries: int) -> MapItemResult:
+def _run_item_serial(fn: Callable[[T], R], index: int, item: T) -> MapItemResult:
     """Run one item in-process, capturing non-fatal exceptions."""
-    result = MapItemResult(index=index, ok=False)
-    for attempt in range(1, retries + 2):
-        result.attempts = attempt
-        try:
-            result.value = fn(item)
-            result.ok = True
-            result.error = result.error_type = ""
-            return result
-        except _FATAL:
-            raise
-        except BaseException as exc:  # noqa: BLE001 - captured per item
-            result.error = str(exc)
-            result.error_type = type(exc).__name__
-    return result
+    try:
+        return MapItemResult(index=index, ok=True, value=fn(item))
+    except _FATAL:
+        raise
+    except BaseException as exc:  # noqa: BLE001 - captured per item
+        return MapItemResult(index=index, ok=False, error=str(exc),
+                             error_type=type(exc).__name__)
 
 
 class Executor:
@@ -123,18 +117,15 @@ class Executor:
         """Apply ``fn`` to every item, preserving input order."""
         raise NotImplementedError
 
-    def map_resilient(
-        self, fn: Callable[[T], R], items: Sequence[T], retries: int = 0
-    ) -> list[MapItemResult]:
+    def map_resilient(self, fn: Callable[[T], R], items: Sequence[T]) -> list[MapItemResult]:
         """Per-item fault-isolated map: one result per item, input order.
 
         Task exceptions are captured into :class:`MapItemResult` instead
         of propagating (fatal errors — ``KeyboardInterrupt``,
-        ``MemoryError`` — still raise).  ``retries`` re-runs a failing
-        item up to that many extra times before recording the error.
+        ``MemoryError`` — still raise).
         """
         self._ensure_open()
-        return [_run_item_serial(fn, i, item, retries) for i, item in enumerate(items)]
+        return [_run_item_serial(fn, i, item) for i, item in enumerate(items)]
 
     def _release(self) -> None:
         """Free backend resources (hook for subclasses)."""
@@ -208,30 +199,23 @@ class ThreadPoolExecutorBackend(Executor):
 class ProcessPoolExecutorBackend(Executor):
     """Multi-process execution via :mod:`concurrent.futures`.
 
-    ``chunksize`` amortizes IPC overhead for cheap tasks; results are
-    returned in input order regardless of completion order.
+    Tasks ship to workers one at a time; results are returned in input
+    order regardless of completion order.
     """
 
     def __init__(
         self,
         workers: int | None = None,
-        chunksize: int | None = 1,
         max_pool_deaths: int = 3,
         max_requeues: int = 2,
     ) -> None:
         if workers is not None and workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        if chunksize is not None and chunksize < 1:
-            raise ValueError(f"chunksize must be >= 1, got {chunksize}")
         if max_pool_deaths < 1:
             raise ValueError(f"max_pool_deaths must be >= 1, got {max_pool_deaths}")
         if max_requeues < 0:
             raise ValueError(f"max_requeues must be >= 0, got {max_requeues}")
         self.workers = workers or max(os.cpu_count() or 1, 1)
-        #: ``None`` selects an automatic chunk size per :meth:`map` call:
-        #: ``max(1, len(items) // (4 * workers))`` — ~4 chunks per worker,
-        #: amortizing IPC for cheap trials while keeping load balance.
-        self.chunksize = chunksize
         #: Consecutive ``BrokenProcessPool`` deaths tolerated by
         #: :meth:`map_resilient` before degrading to serial execution.
         self.max_pool_deaths = max_pool_deaths
@@ -260,22 +244,6 @@ class ProcessPoolExecutorBackend(Executor):
             self._pool = concurrent.futures.ProcessPoolExecutor(max_workers=self.workers)
         return self._pool
 
-    def _effective_chunksize(self, n_items: int) -> int:
-        """Chunk size actually used for a map over ``n_items`` tasks.
-
-        Never returns less than 1 (empty/near-empty sweeps used to be
-        able to produce degenerate sizes) and never more than
-        ``ceil(n_items / workers)`` — an oversized explicit chunksize on
-        a tiny sweep would otherwise ship every task to one worker and
-        serialize the whole map.
-        """
-        if n_items <= 0:
-            return 1
-        spread_cap = max(1, math.ceil(n_items / self.workers))
-        if self.chunksize is not None:
-            return min(self.chunksize, spread_cap)
-        return min(max(1, n_items // (4 * self.workers)), spread_cap)
-
     def _discard_pool(self) -> None:
         """Drop a (possibly broken) pool so the next map respawns workers."""
         if self._pool is not None:
@@ -301,7 +269,7 @@ class ProcessPoolExecutorBackend(Executor):
         pool = self._ensure_pool()
         _QUEUE_DEPTH.set(len(items))
         try:
-            results = list(pool.map(fn, items, chunksize=self._effective_chunksize(len(items))))
+            results = list(pool.map(fn, items))
         except BrokenProcessPool:
             # A dead worker poisons the whole pool object.  Discard it so
             # subsequent maps respawn instead of failing forever, then
@@ -313,13 +281,10 @@ class ProcessPoolExecutorBackend(Executor):
         self._consecutive_deaths = 0
         return results
 
-    def map_resilient(
-        self, fn: Callable[[T], R], items: Sequence[T], retries: int = 0
-    ) -> list[MapItemResult]:
+    def map_resilient(self, fn: Callable[[T], R], items: Sequence[T]) -> list[MapItemResult]:
         """Fault-isolated map over a (respawnable) process pool.
 
-        - a task exception fails only its own item (with up to
-          ``retries`` in-pool re-runs);
+        - a task exception fails only its own item;
         - ``BrokenProcessPool`` respawns the pool and requeues every item
           that was still in flight (each at most :attr:`max_requeues`
           times — a deterministic worker killer cannot loop forever);
@@ -333,13 +298,11 @@ class ProcessPoolExecutorBackend(Executor):
         results: dict[int, MapItemResult] = {}
         pending: list[int] = list(range(len(items)))
         requeues = {i: 0 for i in pending}
-        attempts = {i: 0 for i in pending}
         while pending:
             _QUEUE_DEPTH.set(len(pending))
             if self.degraded:
                 for i in pending:
-                    result = _run_item_serial(fn, i, items[i], retries)
-                    result.attempts += attempts[i]
+                    result = _run_item_serial(fn, i, items[i])
                     result.requeues = requeues[i]
                     results[i] = result
                 pending = []
@@ -368,29 +331,20 @@ class ProcessPoolExecutorBackend(Executor):
                                 "was in flight; giving up on it"
                             ),
                             error_type="BrokenProcessPool",
-                            attempts=attempts[i] + 1,
                             requeues=requeues[i],
                         )
                     else:
                         still_pending.append(i)
                 except BaseException as exc:  # noqa: BLE001 - per-item capture
-                    attempts[i] += 1
-                    if attempts[i] <= retries:
-                        still_pending.append(i)
-                    else:
-                        results[i] = MapItemResult(
-                            index=i,
-                            ok=False,
-                            error=str(exc),
-                            error_type=type(exc).__name__,
-                            attempts=attempts[i],
-                            requeues=requeues[i],
-                        )
-                else:
-                    attempts[i] += 1
                     results[i] = MapItemResult(
-                        index=i, ok=True, value=value, attempts=attempts[i], requeues=requeues[i]
+                        index=i,
+                        ok=False,
+                        error=str(exc),
+                        error_type=type(exc).__name__,
+                        requeues=requeues[i],
                     )
+                else:
+                    results[i] = MapItemResult(index=i, ok=True, value=value, requeues=requeues[i])
             if broken:
                 self._record_pool_death()
                 self.requeued_items += len(still_pending)
@@ -422,9 +376,7 @@ def available_cpus() -> int:
         return max(1, os.cpu_count() or 1)
 
 
-def make_executor(
-    kind: str = "serial", workers: int | None = None, chunksize: int | None = None
-) -> Executor:
+def make_executor(kind: str = "serial", workers: int | None = None) -> Executor:
     """Factory: ``"serial"``, ``"thread"``, or ``"process"``.
 
     Parameters
@@ -434,19 +386,13 @@ def make_executor(
     workers:
         Worker count for the ``"thread"``/``"process"`` backends
         (default: CPU count).
-    chunksize:
-        Tasks shipped per IPC round trip for the ``"process"`` backend.
-        ``None`` (the default) picks ``max(1, len(items) // (4 * workers))``
-        per map call — ~4 chunks per worker, amortizing pickling overhead
-        for cheap trials; pass ``1`` for maximal load balancing of
-        expensive tasks.  Ignored by the serial backend.
     """
     if kind == "serial":
         return SerialExecutor()
     if kind == "thread":
         return ThreadPoolExecutorBackend(workers=workers)
     if kind == "process":
-        return ProcessPoolExecutorBackend(workers=workers, chunksize=chunksize)
+        return ProcessPoolExecutorBackend(workers=workers)
     raise ValueError(
         f"unknown executor kind {kind!r}; use 'serial', 'thread', or 'process'"
     )

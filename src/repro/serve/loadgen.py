@@ -245,14 +245,13 @@ class TenantLoad:
     :class:`~repro.serve.ServeRequest` the tenant's clients submit:
     a wall-clock SLO (``deadline_ms``), a device-predicted routing
     budget (``budget_ms`` against ``device``), an accuracy floor, an
-    explicit priority class, or a pinned ``model`` hint.
-    ``arrival_rate_ips`` switches the tenant open-loop (aggregate rate
-    across its clients); ``None`` is closed-loop.
+    explicit priority class, or a pinned ``model`` hint.  Each of the
+    ``clients`` runs a closed loop: it waits for one response before
+    sending its next request.
     """
 
     name: str
     clients: int = 4
-    arrival_rate_ips: float | None = None
     deadline_ms: float | None = None
     budget_ms: float | None = None
     accuracy_floor: float = 0.0
@@ -331,9 +330,9 @@ def run_fleet_load(
 ) -> FleetLoadReport:
     """Drive a fleet with per-tenant client pools and measure the outcome.
 
-    Each tenant runs ``tenant.clients`` closed-loop client threads (or
-    open-loop at ``arrival_rate_ips``) submitting
-    :class:`~repro.serve.ServeRequest` objects built from its profile.
+    Each tenant runs ``tenant.clients`` closed-loop client threads
+    submitting :class:`~repro.serve.ServeRequest` objects built from its
+    profile, so a slower fleet sees a lower offered rate.
     Per-response telemetry is folded into per-tenant latency/SLO stats
     and per-model routing counts; admission/overload rejections and
     deadline expiries are counted, not retried.  The fleet is left open
@@ -353,26 +352,12 @@ def run_fleet_load(
         tenant, client_idx = jobs[job_idx]
         rng = np.random.default_rng(seed + 7919 * job_idx)
         x = image if image is not None else rng.standard_normal(shape).astype(np.float32)
-        period = (
-            tenant.clients / tenant.arrival_rate_ips
-            if tenant.arrival_rate_ips
-            else 0.0
-        )
         latencies: list[float] = []
         rejected = expired = errors = attained = missed = 0
         routed: dict[str, int] = {}
         fits = True
         deadline = time.monotonic() + duration_s
-        next_send = time.monotonic()
-        while True:
-            now = time.monotonic()
-            if now >= deadline:
-                break
-            if period:
-                if now < next_send:
-                    time.sleep(min(next_send - now, deadline - now))
-                    continue
-                next_send += period
+        while time.monotonic() < deadline:
             req = ServeRequest(
                 image=x,
                 tenant=tenant.name,

@@ -35,16 +35,15 @@ def _leaks(segments_before: set[str]) -> dict[str, list]:
     }
 
 
-@pytest.fixture()
+@pytest.fixture(autouse=True)
 def leak_audit():
     """Fail a test that leaves shared memory, child processes or server
     threads behind.
 
-    The serving, executor, fabric and obs-integration suites opt in
-    through ``pytestmark``.  After a short grace for
-    joins in flight, any new ``/dev/shm/psm_*`` segment, live
-    ``multiprocessing`` child, or live dispatcher/autoscaler thread
-    (named ``repro-fleet-*``) is a leak.
+    Every test runs under it.  After a short grace for joins in flight,
+    any new ``/dev/shm/psm_*`` segment, live ``multiprocessing`` child,
+    or live dispatcher/autoscaler thread (named ``repro-fleet-*``) is a
+    leak.
     """
     before = _shm_segments()
     yield

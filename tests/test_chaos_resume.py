@@ -15,7 +15,6 @@ from repro.faults import (
     Fault,
     FaultKind,
     FaultPlan,
-    FaultyEvaluator,
     corrupt_store_tail,
     interrupt_after,
 )
@@ -29,6 +28,7 @@ from repro.nas import (
 )
 from repro.nas.config import ModelConfig
 from repro.nas.experiment import measure_architecture
+from repro.nas.fabric import NodeEvaluator
 from repro.nas.retry import PermanentTrialError
 from repro.nas.searchspace import SearchSpace
 from repro.nas.telemetry import RunTelemetry
@@ -95,9 +95,9 @@ class TestChaosResumeAcceptance:
 
         path = tmp_path / "sweep.jsonl"
         executor1 = ProcessPoolExecutorBackend(workers=2)
-        evaluator1 = FaultyEvaluator(
-            SurrogateEvaluator(seed=0), kill_config_ids={kill_cid},
-            latch_dir=tmp_path, executor=executor1,
+        evaluator1 = NodeEvaluator(
+            SurrogateEvaluator(seed=0), executor1, kill_config_ids={kill_cid},
+            latch_dir=tmp_path,
         )
         store1 = TrialStore(path)
         exp1 = _experiment(
@@ -123,9 +123,9 @@ class TestChaosResumeAcceptance:
 
         plan2 = FaultPlan.chaos(total=BUDGET, transients=2, seed=3)
         executor2 = ProcessPoolExecutorBackend(workers=2)
-        evaluator2 = FaultyEvaluator(
-            SurrogateEvaluator(seed=0), kill_config_ids={kill_cid},
-            latch_dir=tmp_path, executor=executor2,
+        evaluator2 = NodeEvaluator(
+            SurrogateEvaluator(seed=0), executor2, kill_config_ids={kill_cid},
+            latch_dir=tmp_path,
         )
         exp2 = _experiment(
             evaluator=evaluator2, store=store2, failure_injector=plan2,

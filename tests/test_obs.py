@@ -381,14 +381,25 @@ class TestProgressListeners:
             duration_s = 0.25
             skipped_devices = ("cpu",)
 
+        class Failed:
+            ok = False
+            attempts = 1
+            error_kind = "transient"
+            duration_s = 0.1
+            skipped_devices = ()
+
         listener = obs.ObsProgressListener()
-        listener.on_trial_end(1, 1, Record())
+        listener.on_trial_end(1, 2, Record())
+        listener.on_trial_end(2, 2, Failed())
         reg = obs.registry()
         assert reg.counter_value("repro_trials_total", status="ok") == 1
+        assert reg.counter_value("repro_trials_total", status="failed") == 1
+        assert reg.counter_value("repro_trials_failed_total", kind="transient") == 1
         assert reg.counter_value("repro_trials_retried_total") == 1
         assert reg.counter_value("repro_trial_retries_total") == 1
         assert reg.counter_value("repro_trials_recovered_total") == 1
         assert reg.counter_value("repro_device_predictions_skipped_total") == 1
+        assert reg.histogram("repro_trial_duration_seconds").count == 2
 
 
 class TestExecutorLifecycle:
@@ -423,40 +434,6 @@ class TestExecutorLifecycle:
         assert obs.counter("repro_executor_pool_deaths_total") is obs.counter(
             "repro_executor_pool_deaths_total"
         )
-
-
-class TestRunTelemetryRegistry:
-    def test_telemetry_mirrors_counters_into_registry(self):
-        from repro.nas.telemetry import RunTelemetry
-
-        class Record:
-            def __init__(self, ok, attempts=1, error_kind="", duration_s=0.1,
-                         skipped_devices=()):
-                self.ok = ok
-                self.attempts = attempts
-                self.error_kind = error_kind
-                self.duration_s = duration_s
-                self.skipped_devices = skipped_devices
-
-        telemetry = RunTelemetry()
-        telemetry.on_trial_end(1, 3, Record(ok=True, attempts=2))
-        telemetry.on_trial_end(2, 3, Record(ok=False, error_kind="transient"))
-        telemetry.on_trial_end(3, 3, Record(ok=True))
-        reg = telemetry.registry
-        assert reg.counter_value("repro_trials_total", status="ok") == 2
-        assert reg.counter_value("repro_trials_total", status="failed") == 1
-        assert reg.counter_value("repro_trials_failed_total", kind="transient") == 1
-        assert reg.counter_value("repro_trials_recovered_total") == 1
-        assert reg.histogram("repro_trial_duration_seconds").count == 3
-        # legacy fields still track in lockstep
-        assert telemetry.failures == 1 and telemetry.recovered_trials == 1
-
-    def test_telemetry_registry_exports_to_prometheus(self):
-        from repro.nas.telemetry import RunTelemetry
-
-        telemetry = RunTelemetry()
-        text = prometheus_text(telemetry.registry.snapshot())
-        assert isinstance(text, str)
 
 
 def test_jsonl_events_are_valid_json_lines(clean_obs, tmp_path):

@@ -6,17 +6,12 @@
   report`` renders the counters from the file alone.
 - A chaos run through ``evaluate(configs, resilient=True)`` stitches
   worker "evaluate" spans to the caller's span.
-- The deprecated evaluator shims warn but return bitwise-equal values.
-
-Every test runs under the ``leak_audit`` fixture: no worker process may
-outlive its test.
 """
 
 from __future__ import annotations
 
 import os
 import shutil
-import warnings
 
 import pytest
 
@@ -32,8 +27,6 @@ from repro.nas import (
 from repro.nas.config import ModelConfig
 from repro.nas.searchspace import DEFAULT_SPACE
 from repro.obs import aggregate_metrics, read_events, render_report, span_coverage
-
-pytestmark = pytest.mark.usefixtures("leak_audit")
 
 
 @pytest.fixture()
@@ -201,24 +194,6 @@ class TestChaosStitching:
 
 
 class TestDeprecatedShims:
-    def test_evaluate_many_warns_and_matches(self):
-        evaluator = _tiny_evaluator()
-        configs = _configs(2)
-        with pytest.warns(DeprecationWarning, match="evaluate_many\\(\\) is deprecated"):
-            legacy = evaluator.evaluate_many(configs)
-        modern = [o.unwrap() for o in evaluator.evaluate(configs)]
-        assert legacy == modern  # bitwise-equal EvalResults
-
-    def test_evaluate_many_resilient_warns_and_matches(self):
-        evaluator = _tiny_evaluator()
-        configs = _configs(2)
-        with pytest.warns(DeprecationWarning,
-                          match="evaluate_many_resilient\\(\\) is deprecated"):
-            legacy = evaluator.evaluate_many_resilient(configs)
-        modern = evaluator.evaluate(configs, resilient=True)
-        assert [item.ok for item in legacy] == [o.ok for o in modern]
-        assert [item.value for item in legacy] == [o.result for o in modern]
-
     def test_single_config_contract_unchanged(self):
         evaluator = _tiny_evaluator()
         config = _configs(1)[0]

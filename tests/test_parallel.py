@@ -30,7 +30,7 @@ class TestSerialExecutor:
 
 class TestProcessPool:
     def test_matches_serial(self):
-        with ProcessPoolExecutorBackend(workers=2, chunksize=2) as pool:
+        with ProcessPoolExecutorBackend(workers=2) as pool:
             assert pool.map(_square, list(range(10))) == [x * x for x in range(10)]
 
     def test_worker_default_positive(self):
@@ -39,8 +39,6 @@ class TestProcessPool:
     def test_validation(self):
         with pytest.raises(ValueError):
             ProcessPoolExecutorBackend(workers=0)
-        with pytest.raises(ValueError):
-            ProcessPoolExecutorBackend(workers=1, chunksize=0)
 
     def test_factory(self):
         assert isinstance(make_executor("serial"), SerialExecutor)
@@ -48,30 +46,9 @@ class TestProcessPool:
         with pytest.raises(ValueError):
             make_executor("gpu")
 
-    def test_factory_forwards_chunksize(self):
-        pool = make_executor("process", workers=2, chunksize=8)
-        assert isinstance(pool, ProcessPoolExecutorBackend)
-        assert pool.chunksize == 8
-        assert pool._effective_chunksize(100) == 8
-
-    def test_auto_chunksize(self):
-        pool = ProcessPoolExecutorBackend(workers=4, chunksize=None)
-        # max(1, n // (4 * workers)): ~4 chunks per worker.
-        assert pool._effective_chunksize(160) == 10
-        assert pool._effective_chunksize(3) == 1
-        assert pool._effective_chunksize(0) == 1
-
     def test_auto_chunksize_maps_correctly(self):
         with make_executor("process", workers=2) as pool:
             assert pool.map(_square, list(range(40))) == [x * x for x in range(40)]
-
-    def test_explicit_chunksize_clamped_to_spread(self):
-        # An oversized explicit chunksize on a tiny sweep must not ship
-        # every task to a single worker: it is capped at ceil(n / workers).
-        pool = ProcessPoolExecutorBackend(workers=4, chunksize=64)
-        assert pool._effective_chunksize(8) == 2
-        assert pool._effective_chunksize(3) == 1
-        assert pool._effective_chunksize(1000) == 64  # cap inactive when ample
 
     def test_empty_map_returns_without_spawning(self):
         pool = ProcessPoolExecutorBackend(workers=2)

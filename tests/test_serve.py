@@ -25,9 +25,6 @@ Covers the four contracts the serving tier rests on:
    after repeated deaths), fork inherits neither warm cache entries
    nor the template plan's run guard, and forked workers pin the
    already-loaded BLAS to one thread.
-
-Every test runs under the ``leak_audit`` fixture: no shared-memory
-segment, child process or server thread may outlive it.
 """
 
 import ctypes
@@ -69,8 +66,6 @@ from repro.serve import (
     suggest_max_batch_size,
 )
 from repro.serve.workers import _limit_loaded_blas
-
-pytestmark = pytest.mark.usefixtures("leak_audit")
 
 ATOL = 1e-4
 RTOL = 1e-3

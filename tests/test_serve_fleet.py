@@ -15,8 +15,6 @@ Covers the multi-tenant serving fleet acceptance criteria:
 - the `ServeConfig` consolidation (effective config after replica
   clamping) and the `MicroBatcher` condition-wakeup fix (no
   busy-polling while idle).
-
-Every test runs under the ``leak_audit`` fixture.
 """
 
 from __future__ import annotations
@@ -55,8 +53,6 @@ from repro.serve import (
     TokenBucket,
     run_fleet_load,
 )
-
-pytestmark = pytest.mark.usefixtures("leak_audit")
 
 HW = 24  # deployment tile (fast, merged-GEMM regime)
 

@@ -1,16 +1,42 @@
 """Reproduction verifier, telemetry, batch-latency extension."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from repro.core.pipeline import run_paper_sweep
 from repro.core.validation import Check, VerificationReport, verify_reproduction
 from repro.graph.trace import trace_model
 from repro.latency.devices import DEVICE_PROFILES
 from repro.latency.predictors import batch_latency_ms
 from repro.nas import Experiment, GridSearch, SurrogateEvaluator
+from repro.nas.config import ModelConfig
 from repro.nas.searchspace import SearchSpace
 from repro.nas.telemetry import RunTelemetry
 from repro.nn import SearchableResNet18
+
+GOLDEN_SWEEP = Path(__file__).parent / "golden" / "paper_sweep_seed0.json"
+
+
+def paper_sweep_golden(seed: int = 0) -> dict:
+    """The golden-file view of ``run_paper_sweep(seed)``: trial counts and
+    the Pareto front (highest accuracy first), objectives at 9
+    significant digits."""
+    sweep = run_paper_sweep(seed=seed)
+    return {
+        "launched": sweep.launched,
+        "valid": sweep.valid_outcomes,
+        "pareto_front": [
+            {
+                "trial_id": r["trial_id"],
+                "config_id": ModelConfig.from_dict(r).config_id(),
+                **{key: float(f"{r[key]:.9g}") for key in ("accuracy", "latency_ms", "memory_mb")},
+            }
+            for r in sweep.front_records()
+        ],
+    }
 
 
 class TestVerificationReport:
@@ -42,6 +68,12 @@ class TestFullReproduction:
         traits and the headline."""
         report = verify_reproduction(seed=0)
         assert report.ok, report.summary()
+
+    def test_paper_sweep_matches_golden_file(self):
+        """Trial counts and every front member's id, configuration and
+        objectives are unchanged (the sweep is cached, so this reuses the
+        run above)."""
+        assert paper_sweep_golden(seed=0) == json.loads(GOLDEN_SWEEP.read_text())
 
 
 class TestRunTelemetry:
