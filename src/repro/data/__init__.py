@@ -31,8 +31,6 @@ from repro.data.scene_sampler import (
     generate_region_scene,
     sample_patches,
 )
-from repro.data.stats import ChannelStats, Normalizer, compute_channel_stats
-from repro.data.raster import GeoTransform, Raster, load_raster, save_raster
 from repro.data.sampler import BatchSampler
 from repro.data.splits import kfold_indices, train_test_split_indices
 from repro.data.augment import augment_batch, random_flip_rot
@@ -55,13 +53,6 @@ __all__ = [
     "detect_crossings",
     "sample_patches",
     "build_scene_dataset",
-    "ChannelStats",
-    "Normalizer",
-    "compute_channel_stats",
-    "GeoTransform",
-    "Raster",
-    "save_raster",
-    "load_raster",
     "BatchSampler",
     "kfold_indices",
     "train_test_split_indices",

@@ -38,7 +38,6 @@ from repro.latency.selection import (
     latency_table,
     select_model,
 )
-from repro.latency.report import breakdown_table, latency_breakdown
 from repro.latency.energy import (
     ENERGY_MODELS,
     VARIANT_COST_FACTORS,
@@ -50,8 +49,6 @@ from repro.latency.energy import (
 )
 
 __all__ = [
-    "latency_breakdown",
-    "breakdown_table",
     "EnergyModel",
     "ENERGY_MODELS",
     "VariantCostFactors",

@@ -8,7 +8,6 @@ memory system (activations in/out plus weights).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from repro.graph.flops import node_flops
 from repro.graph.ir import Graph, Node, OpType
@@ -110,8 +109,3 @@ def _kernel_from_fused(graph: Graph, op: FusedOp) -> Kernel:
 def extract_kernels(graph: Graph) -> list[Kernel]:
     """Fuse the IR and return its kernel list in execution order."""
     return [_kernel_from_fused(graph, op) for op in fuse_graph(graph)]
-
-
-def total_flops(kernels: Iterable[Kernel]) -> int:
-    """Sum of kernel FLOPs (equals the unfused graph total)."""
-    return sum(k.flops for k in kernels)

@@ -46,7 +46,6 @@ from repro.nas.experiment import Experiment, ExperimentResult
 from repro.nas.retry import (
     Deadline,
     ErrorKind,
-    Heartbeat,
     NodeKilledError,
     PermanentTrialError,
     RetryPolicy,
@@ -103,7 +102,6 @@ __all__ = [
     "RetryPolicy",
     "ErrorKind",
     "Deadline",
-    "Heartbeat",
     "TransientTrialError",
     "WorkerLostError",
     "NodeKilledError",

@@ -53,7 +53,6 @@ __all__ = [
     "TRANSIENT_ERRORS",
     "classify_error",
     "Deadline",
-    "Heartbeat",
     "current_deadline",
     "deadline_scope",
     "RetryPolicy",
@@ -198,36 +197,6 @@ class Deadline:
         return f"Deadline(limit_s={self.limit_s}, elapsed={self.elapsed():.3g})"
 
 
-class Heartbeat:
-    """Monotonic liveness tracking for one worker/lease.
-
-    Deliberately built on ``time.monotonic()`` (like :class:`Deadline`):
-    lease expiry and heartbeat age must never be computed from the wall
-    clock, where an NTP step or daylight-saving jump would spuriously
-    expire every outstanding lease (or keep a dead worker alive).  The
-    clock is injectable for tests only.
-    """
-
-    def __init__(self, clock: Callable[[], float] = time.monotonic) -> None:
-        self._clock = clock
-        self._last = clock()
-
-    def beat(self) -> None:
-        """Record liveness now."""
-        self._last = self._clock()
-
-    def age_s(self) -> float:
-        """Seconds since the last beat (>= 0 by monotonicity)."""
-        return self._clock() - self._last
-
-    def missed(self, ttl_s: float) -> bool:
-        """Whether the last beat is older than ``ttl_s``."""
-        return self.age_s() > ttl_s
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Heartbeat(age_s={self.age_s():.3g})"
-
-
 _DEADLINE_STACK = threading.local()
 
 
@@ -344,7 +313,6 @@ def _format_error(exc: BaseException) -> str:
 
 # Module-level instrument handles: cached once, no-ops while obs is disabled.
 _ATTEMPTS = obs.counter("repro_trial_attempts_total")
-_RETRIES = obs.counter("repro_trial_retries_total")
 _DEADLINE_HITS = obs.counter("repro_trial_deadline_hits_total")
 
 
@@ -404,7 +372,6 @@ def run_with_retry(
                     )
                     _DEADLINE_HITS.inc()
                     return outcome
-                _RETRIES.inc()
                 if delay > 0:
                     policy.sleep(delay)
     return outcome

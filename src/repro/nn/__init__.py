@@ -2,7 +2,7 @@
 
 Provides the layer/module system the paper's models need (Conv2d, Linear,
 BatchNorm2d, pooling, ReLU, Sequential), weight initialization, losses,
-optimizers, serialization, model summaries — and the paper's model family:
+optimizers, parameter counts — and the paper's model family:
 :class:`~repro.nn.resnet.SearchableResNet18`, a ResNet-18 parameterized by
 the Figure-2 search space.
 """
@@ -22,10 +22,8 @@ from repro.nn.layers import (
 )
 from repro.nn.loss import CrossEntropyLoss
 from repro.nn.optim import SGD, Adam, Optimizer
-from repro.nn.schedulers import CosineAnnealingLR, LRScheduler, StepLR, WarmupWrapper
 from repro.nn.resnet import BasicBlock, SearchableResNet18, build_baseline_resnet18, build_model
-from repro.nn.serialize import load_state_dict, state_dict_to_bytes, state_dict_from_bytes
-from repro.nn.summary import count_parameters, model_summary
+from repro.nn.summary import count_parameters
 
 __all__ = [
     "Module",
@@ -41,10 +39,6 @@ __all__ = [
     "Dropout",
     "Identity",
     "Flatten",
-    "LRScheduler",
-    "StepLR",
-    "CosineAnnealingLR",
-    "WarmupWrapper",
     "CrossEntropyLoss",
     "Optimizer",
     "SGD",
@@ -53,9 +47,5 @@ __all__ = [
     "SearchableResNet18",
     "build_baseline_resnet18",
     "build_model",
-    "load_state_dict",
-    "state_dict_to_bytes",
-    "state_dict_from_bytes",
     "count_parameters",
-    "model_summary",
 ]

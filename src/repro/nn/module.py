@@ -37,7 +37,6 @@ class Module:
         object.__setattr__(self, "_parameters", {})
         object.__setattr__(self, "_buffers", {})
         object.__setattr__(self, "_modules", {})
-        object.__setattr__(self, "_forward_hooks", {})
         object.__setattr__(self, "training", True)
 
     # -- registration -----------------------------------------------------------
@@ -153,43 +152,11 @@ class Module:
         raise NotImplementedError(f"{type(self).__name__} does not implement forward()")
 
     def __call__(self, *args, **kwargs):
-        out = self.forward(*args, **kwargs)
-        for hook in self._forward_hooks.values():
-            result = hook(self, args, out)
-            if result is not None:
-                out = result
-        return out
-
-    # -- hooks ------------------------------------------------------------------------
-
-    def register_forward_hook(self, hook) -> "HookHandle":
-        """Register ``hook(module, inputs, output)`` to run after forward.
-
-        A hook returning a non-None value replaces the output.  Returns a
-        handle whose :meth:`~HookHandle.remove` detaches the hook — used
-        by activation observers (quantization calibration, debugging).
-        """
-        handle = HookHandle(self, len(self._forward_hooks))
-        while handle.key in self._forward_hooks:
-            handle = HookHandle(self, handle.key + 1)
-        self._forward_hooks[handle.key] = hook
-        return handle
+        return self.forward(*args, **kwargs)
 
     def __repr__(self) -> str:
         children = ", ".join(self._modules)
         return f"{type(self).__name__}({children})"
-
-
-class HookHandle:
-    """Detachable reference to a registered forward hook."""
-
-    def __init__(self, module: "Module", key: int) -> None:
-        self._module = module
-        self.key = key
-
-    def remove(self) -> None:
-        """Detach the hook (idempotent)."""
-        self._module._forward_hooks.pop(self.key, None)
 
 
 class Sequential(Module):

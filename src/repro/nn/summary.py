@@ -1,32 +1,13 @@
-"""Model introspection: parameter counts and layer summaries (Figure 1)."""
+"""Model introspection: parameter counts (Figure 1)."""
 
 from __future__ import annotations
 
 from repro.nn.module import Module
-from repro.utils.tables import render_table
 
-__all__ = ["count_parameters", "model_summary"]
+__all__ = ["count_parameters"]
 
 
 def count_parameters(module: Module, trainable_only: bool = True) -> int:
     """Total number of scalar parameters in the module tree."""
     del trainable_only  # every Parameter is trainable in this library
     return sum(p.size for p in module.parameters())
-
-
-def model_summary(module: Module) -> str:
-    """A per-submodule parameter table, one row per leaf module."""
-    rows = []
-    for name, sub in module.named_modules():
-        if sub._modules:  # only report leaves; containers would double-count
-            continue
-        params = sum(p.size for p in sub._parameters.values() if p is not None)
-        rows.append(
-            {
-                "module": name or "(root)",
-                "type": type(sub).__name__,
-                "params": params,
-            }
-        )
-    rows.append({"module": "TOTAL", "type": "", "params": count_parameters(module)})
-    return render_table(rows, title=f"{type(module).__name__} summary")

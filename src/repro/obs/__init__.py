@@ -13,12 +13,11 @@ package is the layer every subsystem reports into:
   managers with wall-clock starts, monotonic durations and a picklable
   :class:`SpanContext` that stitches pool-worker spans into the parent
   trace;
-- **sinks** (:mod:`~repro.obs.sinks`) — in-memory (tests), line-buffered
-  JSONL, Prometheus text exposition and Chrome ``trace_event`` JSON;
+- **sinks** (:mod:`~repro.obs.sinks`) — in-memory (tests) and
+  line-buffered JSONL;
 - **progress** (:mod:`~repro.obs.progress`) — the
-  :class:`ProgressListener` protocol shared by
-  :class:`repro.nas.telemetry.RunTelemetry` and the obs layer, with a
-  fan-out composer;
+  :class:`ProgressListener` protocol, the registry-writing
+  :class:`ObsProgressListener` and a fan-out composer;
 - **report** (:mod:`~repro.obs.report`) — replay a JSONL log into a
   human-readable report, Prometheus text or a Chrome trace
   (``python -m repro obs report run_obs.jsonl``).
@@ -71,10 +70,8 @@ from repro.obs.report import (
     span_tree_stats,
 )
 from repro.obs.sinks import (
-    ChromeTraceSink,
     InMemorySink,
     JsonlSink,
-    PrometheusTextSink,
     Sink,
     chrome_trace_events,
     prometheus_text,
@@ -99,8 +96,8 @@ __all__ = [
     "span", "Span", "SpanContext", "current_span", "propagated_context",
     "adopt_context",
     # sinks
-    "Sink", "InMemorySink", "JsonlSink", "PrometheusTextSink",
-    "ChromeTraceSink", "prometheus_text", "chrome_trace_events",
+    "Sink", "InMemorySink", "JsonlSink", "prometheus_text",
+    "chrome_trace_events",
     # progress
     "ProgressListener", "LegacyCallableListener", "ProgressFanout",
     "ObsProgressListener", "as_listener",

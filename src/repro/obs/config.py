@@ -100,7 +100,8 @@ def configure(
         this path.  This is also the path worker processes re-open when
         they adopt a propagated span context.
     sinks:
-        Additional sinks (in-memory, Prometheus, Chrome trace...).
+        Additional sinks, such as the
+        :class:`~repro.obs.sinks.InMemorySink` tests read events from.
     reset_metrics:
         Zero the registry first (instrument identities are kept).
 

@@ -2,8 +2,8 @@
 
 Before this module, :class:`repro.nas.experiment.Experiment` took an
 ad-hoc ``progress`` callable ``(done, total, record)`` and every
-consumer (``RunTelemetry``, the chaos harness's ``interrupt_after``,
-user lambdas) had to match that exact shape.  The protocol here replaces
+consumer (the chaos harness's ``interrupt_after``, user lambdas) had
+to match that exact shape.  The protocol here replaces
 it with three well-named hooks while keeping every old callable working
 through :func:`as_listener`:
 

@@ -17,11 +17,10 @@ Sinks:
 - :class:`JsonlSink` — line-buffered JSONL appends.  Worker processes
   re-open the same path in append mode (``O_APPEND``), so one smoke
   sweep's parent and worker events interleave into a single file that
-  ``repro obs report`` can replay;
-- :class:`PrometheusTextSink` — renders the latest metrics snapshots in
-  the Prometheus text exposition format;
-- :class:`ChromeTraceSink` — accumulates span events into a Chrome
-  ``trace_event`` JSON for ``chrome://tracing`` / Perfetto.
+  ``repro obs report`` can replay.
+
+The Prometheus text and Chrome ``trace_event`` renderers below are not
+sinks: ``repro-nas obs export`` applies them to a replayed JSONL log.
 """
 
 from __future__ import annotations
@@ -34,8 +33,6 @@ __all__ = [
     "Sink",
     "InMemorySink",
     "JsonlSink",
-    "PrometheusTextSink",
-    "ChromeTraceSink",
     "prometheus_text",
     "chrome_trace_events",
 ]
@@ -152,31 +149,6 @@ def prometheus_text(metrics: dict, extra_labels: dict[str, str] | None = None) -
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-class PrometheusTextSink(Sink):
-    """Keeps the latest metrics snapshot per pid; renders text exposition."""
-
-    def __init__(self, path: str | Path | None = None) -> None:
-        self.path = Path(path) if path is not None else None
-        self._latest: dict[int, dict] = {}
-
-    def emit(self, event: dict) -> None:
-        if event.get("type") == "metrics":
-            self._latest[int(event.get("pid", 0))] = event["metrics"]
-
-    def render(self) -> str:
-        """The text exposition of every process's latest snapshot."""
-        parts = [
-            prometheus_text(snap, extra_labels={"pid": str(pid)})
-            for pid, snap in sorted(self._latest.items())
-        ]
-        return "".join(parts)
-
-    def flush(self) -> None:
-        if self.path is not None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self.path.write_text(self.render(), encoding="utf-8")
-
-
 # ---------------------------------------------------------------------------
 # Chrome trace_event
 # ---------------------------------------------------------------------------
@@ -209,21 +181,3 @@ def chrome_trace_events(events: list[dict]) -> dict:
             },
         })
     return {"traceEvents": trace, "displayTimeUnit": "ms"}
-
-
-class ChromeTraceSink(Sink):
-    """Accumulates spans and writes a ``chrome://tracing`` JSON on flush."""
-
-    def __init__(self, path: str | Path) -> None:
-        self.path = Path(path)
-        self._events: list[dict] = []
-
-    def emit(self, event: dict) -> None:
-        if event.get("type") == "span":
-            self._events.append(event)
-
-    def flush(self) -> None:
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self.path.write_text(
-            json.dumps(chrome_trace_events(self._events)), encoding="utf-8"
-        )

@@ -3,9 +3,8 @@ multi-process CPU parallelism).
 
 - :mod:`~repro.parallel.executor` — a uniform ``map``-style interface with
   serial and process-pool backends;
-- :mod:`~repro.parallel.partition` — deterministic work partitioning;
-- :mod:`~repro.parallel.scheduler` — longest-processing-time-first static
-  load balancing for heterogeneous trial costs.
+- :mod:`~repro.parallel.scheduler` — the work-stealing victim choice of the
+  sweep fabric's idle nodes.
 """
 
 from repro.parallel.executor import (
@@ -17,8 +16,7 @@ from repro.parallel.executor import (
     available_cpus,
     make_executor,
 )
-from repro.parallel.partition import chunk_evenly, chunk_fixed
-from repro.parallel.scheduler import lpt_schedule, pick_steal_victim
+from repro.parallel.scheduler import pick_steal_victim
 
 __all__ = [
     "Executor",
@@ -28,8 +26,5 @@ __all__ = [
     "MapItemResult",
     "available_cpus",
     "make_executor",
-    "chunk_evenly",
-    "chunk_fixed",
-    "lpt_schedule",
     "pick_steal_victim",
 ]

@@ -2,57 +2,18 @@
 
 Trial cost varies by an order of magnitude across the search space (a
 stride-1 f=64 model trains ~16x slower than a stride-2 f=32 one), so
-round-robin assignment leaves workers idle.  Two complementary policies
-live here:
-
-- :func:`lpt_schedule` — *static*: longest-processing-time-first, the
-  classic 4/3-approximation for makespan on identical machines, used
-  when every cost is known up front.
-- :func:`pick_steal_victim` — *dynamic*: the work-stealing victim rule
-  of the distributed sweep fabric (:mod:`repro.nas.fabric`).  An idle
-  worker whose home queue drained steals from the longest pending
-  queue; stealing from the longest queue is the standard heuristic that
-  minimizes expected makespan when per-task costs are unknown.
+round-robin assignment leaves workers idle.  :func:`pick_steal_victim`
+is the work-stealing victim rule of the distributed sweep fabric
+(:mod:`repro.nas.fabric`): an idle worker whose home queue drained
+steals from the longest pending queue, the standard heuristic that
+minimizes expected makespan when per-task costs are unknown.
 """
 
 from __future__ import annotations
 
-import heapq
 from typing import Container, Sequence
 
-__all__ = ["lpt_schedule", "pick_steal_victim"]
-
-
-def lpt_schedule(costs: Sequence[float], workers: int) -> list[list[int]]:
-    """Assign task indices to workers, minimizing the estimated makespan.
-
-    Parameters
-    ----------
-    costs:
-        Estimated cost per task (any non-negative unit).
-    workers:
-        Number of identical workers.
-
-    Returns
-    -------
-    list[list[int]]
-        ``workers`` lists of task indices; every index appears exactly once.
-    """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    for i, cost in enumerate(costs):
-        if cost < 0:
-            raise ValueError(f"task {i} has negative cost {cost}")
-    assignments: list[list[int]] = [[] for _ in range(workers)]
-    # Heap of (accumulated load, worker index).
-    heap: list[tuple[float, int]] = [(0.0, w) for w in range(workers)]
-    heapq.heapify(heap)
-    order = sorted(range(len(costs)), key=lambda i: -costs[i])
-    for task in order:
-        load, worker = heapq.heappop(heap)
-        assignments[worker].append(task)
-        heapq.heappush(heap, (load + costs[task], worker))
-    return assignments
+__all__ = ["pick_steal_victim"]
 
 
 def pick_steal_victim(

@@ -7,7 +7,7 @@ from repro.profiling.profiler import (
     profile_model,
     profile_training_step,
 )
-from repro.profiling.report import profile_table, training_profile_table
+from repro.profiling.report import profile_table
 
 __all__ = [
     "LayerProfiler",
@@ -16,5 +16,4 @@ __all__ = [
     "profile_model",
     "profile_training_step",
     "profile_table",
-    "training_profile_table",
 ]

@@ -4,11 +4,11 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.profiling.profiler import LayerProfile, TrainingStepProfile
+from repro.profiling.profiler import LayerProfile
 from repro.utils.tables import render_table
 from repro.utils.timing import format_duration
 
-__all__ = ["profile_table", "training_profile_table"]
+__all__ = ["profile_table"]
 
 
 def profile_table(profiles: Sequence[LayerProfile], title: str = "Layer profile") -> str:
@@ -26,27 +26,3 @@ def profile_table(profiles: Sequence[LayerProfile], title: str = "Layer profile"
             }
         )
     return render_table(rows, title=title)
-
-
-def training_profile_table(profile: TrainingStepProfile, title: str = "Training step profile") -> str:
-    """Phase breakdown + workspace counters of one profiled training run."""
-    total = profile.total_s or 1.0
-    rows = []
-    for phase, seconds in (
-        ("forward", profile.forward_s),
-        ("backward", profile.backward_s),
-        ("optimizer", profile.optimizer_s),
-    ):
-        rows.append(
-            {
-                "phase": phase,
-                "time": format_duration(seconds),
-                "share": f"{100.0 * seconds / total:.1f}%",
-            }
-        )
-    ws = profile.workspace
-    footer = (
-        f"{profile.images_per_s:.1f} images/s | workspace: {ws['hits']} hits, "
-        f"{ws['misses']} misses, peak {ws['peak_bytes'] / 1e6:.2f} MB"
-    )
-    return render_table(rows, title=title) + "\n" + footer

@@ -9,7 +9,11 @@ quantization.  This subpackage provides an honest simulation:
 - :mod:`~repro.quant.model` — quantize a model's weights (fake-quant:
   quantize-dequantize in place) so real forward passes measure the true
   accuracy cost on data, plus the int8 storage size for the memory
-  objective.
+  objective;
+- :mod:`~repro.quant.export` — int8/int16 onnxlite export, so the measured
+  file size reflects quantized deployment;
+- :mod:`~repro.quant.calibrate` — per-tensor activation ranges, recorded
+  over the fp32 interpreter, for the integer inference plans.
 """
 
 from repro.quant.affine import (
@@ -25,12 +29,9 @@ from repro.quant.model import (
     quantized_size_mb,
     quantize_state_dict,
 )
-from repro.quant.observer import ActivationObserver, ActivationRange
 from repro.quant.export import export_quantized_model, quantized_model_size_mb
 
 __all__ = [
-    "ActivationObserver",
-    "ActivationRange",
     "export_quantized_model",
     "quantized_model_size_mb",
     "AffineQuantizer",

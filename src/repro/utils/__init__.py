@@ -5,7 +5,7 @@ These helpers are deliberately dependency-light; every other subpackage in
 """
 
 from repro.utils.rng import SeedSequenceFactory, rng_from_seed, spawn_rngs, stable_hash
-from repro.utils.timing import Stopwatch, Timer, format_duration
+from repro.utils.timing import format_duration
 from repro.utils.io import (
     atomic_write_text,
     read_json,
@@ -22,8 +22,6 @@ __all__ = [
     "rng_from_seed",
     "spawn_rngs",
     "stable_hash",
-    "Stopwatch",
-    "Timer",
     "format_duration",
     "atomic_write_text",
     "read_json",

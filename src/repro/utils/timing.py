@@ -1,107 +1,28 @@
-"""Wall-clock timing helpers used by the profiler and the benchmarks."""
+"""Duration formatting for the profile tables."""
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
-
-__all__ = ["Timer", "Stopwatch", "format_duration"]
+__all__ = ["format_duration"]
 
 
 def format_duration(seconds: float) -> str:
-    """Render a duration in the most natural unit (us / ms / s / min / h)."""
+    """Render a duration in the most natural unit (us / ms / s / min / h).
+
+    The unit is picked from the value as rounded for display, so a value
+    just under a unit boundary prints as ``1.00ms`` or ``2m00.0s`` rather
+    than ``1000.0us`` or ``1m60.0s``.
+    """
     if seconds < 0:
         return "-" + format_duration(-seconds)
-    if seconds < 1e-3:
+    if round(seconds * 1e6, 1) < 1e3:
         return f"{seconds * 1e6:.1f}us"
-    if seconds < 1.0:
+    if round(seconds * 1e3, 2) < 1e3:
         return f"{seconds * 1e3:.2f}ms"
-    if seconds < 60.0:
+    if round(seconds, 2) < 60.0:
         return f"{seconds:.2f}s"
-    if seconds < 3600.0:
-        minutes, rem = divmod(seconds, 60.0)
-        return f"{int(minutes)}m{rem:04.1f}s"
-    hours, rem = divmod(seconds, 3600.0)
-    return f"{int(hours)}h{int(rem // 60)}m"
-
-
-class Timer:
-    """Context manager measuring elapsed wall time via ``perf_counter``.
-
-    >>> with Timer() as t:
-    ...     pass
-    >>> t.elapsed >= 0.0
-    True
-    """
-
-    def __init__(self) -> None:
-        self._start: float | None = None
-        self.elapsed: float = 0.0
-
-    def __enter__(self) -> "Timer":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        assert self._start is not None
-        self.elapsed = time.perf_counter() - self._start
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Timer(elapsed={format_duration(self.elapsed)})"
-
-
-@dataclass
-class Stopwatch:
-    """Accumulating timer with named laps.
-
-    Used by :mod:`repro.profiling` to attribute time to model layers and by
-    the experiment runner to report per-phase durations.
-    """
-
-    laps: dict[str, float] = field(default_factory=dict)
-    counts: dict[str, int] = field(default_factory=dict)
-    _open: dict[str, float] = field(default_factory=dict)
-
-    def start(self, name: str) -> None:
-        """Begin (or resume) timing the lap ``name``."""
-        if name in self._open:
-            raise RuntimeError(f"lap {name!r} is already running")
-        self._open[name] = time.perf_counter()
-
-    def stop(self, name: str) -> float:
-        """Stop lap ``name`` and return the time added by this interval."""
-        try:
-            begun = self._open.pop(name)
-        except KeyError:
-            raise RuntimeError(f"lap {name!r} was never started") from None
-        delta = time.perf_counter() - begun
-        self.laps[name] = self.laps.get(name, 0.0) + delta
-        self.counts[name] = self.counts.get(name, 0) + 1
-        return delta
-
-    def lap(self, name: str):
-        """Context manager form: ``with sw.lap("conv1"): ...``."""
-        return _Lap(self, name)
-
-    def total(self) -> float:
-        """Sum of all recorded lap times."""
-        return sum(self.laps.values())
-
-    def summary(self) -> list[tuple[str, float, int]]:
-        """Laps as ``(name, seconds, count)`` rows, slowest first."""
-        return sorted(
-            ((name, secs, self.counts[name]) for name, secs in self.laps.items()),
-            key=lambda row: -row[1],
-        )
-
-
-class _Lap:
-    def __init__(self, sw: Stopwatch, name: str) -> None:
-        self._sw = sw
-        self._name = name
-
-    def __enter__(self) -> None:
-        self._sw.start(self._name)
-
-    def __exit__(self, *exc: object) -> None:
-        self._sw.stop(self._name)
+    tenths = round(seconds * 10)
+    if tenths < 36000:
+        minutes, rem = divmod(tenths, 600)
+        return f"{minutes}m{rem / 10:04.1f}s"
+    hours, minutes = divmod(tenths // 600, 60)
+    return f"{hours}h{minutes}m"

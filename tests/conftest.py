@@ -24,31 +24,34 @@ def _shm_segments() -> set[str]:
     return {p.name for p in _SHM_DIR.glob("psm_*")} if _SHM_DIR.is_dir() else set()
 
 
-def _leaks(segments_before: set[str]) -> dict[str, list]:
-    threads = [t.name for t in threading.enumerate()
-               if t.name.startswith("repro-fleet-") and t.is_alive()]
+def _leaks(segments_before: set[str], threads_before: set[threading.Thread]) -> dict[str, list]:
+    threads = [t.name for t in threading.enumerate() if t.is_alive() and (
+        t.name.startswith("repro-fleet-") or (not t.daemon and t not in threads_before))]
     return {
         "shared-memory segments": sorted(_shm_segments() - segments_before),
         # active_children() also reaps children that already exited.
         "child processes": [p.name for p in multiprocessing.active_children()],
-        "server threads": threads,
+        "threads": threads,
     }
 
 
 @pytest.fixture(autouse=True)
 def leak_audit():
-    """Fail a test that leaves shared memory, child processes or server
-    threads behind.
+    """Fail a test that leaves shared memory, child processes or threads
+    behind.
 
     Every test runs under it.  After a short grace for joins in flight,
     any new ``/dev/shm/psm_*`` segment, live ``multiprocessing`` child,
-    or live dispatcher/autoscaler thread (named ``repro-fleet-*``) is a
-    leak.
+    live non-daemon thread that was not alive when the test started, or
+    live daemon dispatcher/autoscaler thread (named ``repro-fleet-*``) is
+    a leak.
     """
-    before = _shm_segments()
+    segments_before = _shm_segments()
+    threads_before = set(threading.enumerate())
     yield
     deadline = time.monotonic() + LEAK_GRACE_S
-    while any((leaks := _leaks(before)).values()) and time.monotonic() < deadline:
+    while (any((leaks := _leaks(segments_before, threads_before)).values())
+           and time.monotonic() < deadline):
         time.sleep(0.05)
     leaked = {kind: names for kind, names in leaks.items() if names}
     assert not leaked, f"test leaked {leaked}"

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import pytest
 
+import repro.obs as obs
 from repro.faults import (
     Fault,
     FaultKind,
@@ -31,7 +32,6 @@ from repro.nas.experiment import measure_architecture
 from repro.nas.fabric import NodeEvaluator
 from repro.nas.retry import PermanentTrialError
 from repro.nas.searchspace import SearchSpace
-from repro.nas.telemetry import RunTelemetry
 from repro.parallel import ProcessPoolExecutorBackend
 
 SPACE = SearchSpace(
@@ -265,22 +265,25 @@ class TestDeviceDegradation:
 
 
 class TestTelemetryCounters:
-    def test_fault_counters_and_summary(self):
+    def test_fault_counters_on_registry(self):
+        """One transient retry and one injected failure, each counted once
+        in the process registry."""
         plan = FaultPlan([
             Fault(FaultKind.TRANSIENT, 0, attempts=1),
             Fault(FaultKind.TRIAL_FAILURE, 2),
         ])
-        telemetry = RunTelemetry()
-        exp = _experiment(
-            store=TrialStore(), failure_injector=plan,
-            retry_policy=RetryPolicy(max_attempts=3, base_delay_s=0.0),
-            progress=telemetry,
-        )
-        exp.run(4)
-        assert telemetry.retried_trials == 1
-        assert telemetry.total_retries == 1
-        assert telemetry.recovered_trials == 1
-        assert telemetry.failures == 1
-        assert telemetry.failures_by_kind == {"injected": 1}
-        assert "1 trials retried" in telemetry.fault_line()
-        assert "recovered" in telemetry.summary()
+        reg = obs.configure(sinks=[obs.InMemorySink()], reset_metrics=True)
+        try:
+            exp = _experiment(
+                store=TrialStore(), failure_injector=plan,
+                retry_policy=RetryPolicy(max_attempts=3, base_delay_s=0.0),
+            )
+            exp.run(4)
+            assert reg.counter_value("repro_trials_retried_total") == 1
+            assert reg.counter_value("repro_trial_retries_total") == 1
+            assert reg.counter_value("repro_trials_recovered_total") == 1
+            assert reg.counter_value("repro_trials_total", status="failed") == 1
+            assert reg.counter_value("repro_trials_failed_total", kind="injected") == 1
+        finally:
+            obs.shutdown(final_snapshot=False)
+            reg.reset()

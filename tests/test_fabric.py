@@ -31,7 +31,6 @@ from repro.nas import (
     Experiment,
     FabricSweep,
     GridSearch,
-    Heartbeat,
     LeaseTable,
     ResumeMismatchError,
     SurrogateEvaluator,
@@ -298,20 +297,10 @@ class FakeClock:
 
 class TestMonotonicTiming:
     def test_all_timing_primitives_default_to_monotonic(self):
-        """Wall-clock regression guard: lease expiry, heartbeat age and
-        deadlines must be immune to NTP steps."""
+        """Wall-clock regression guard: lease expiry and deadlines must be
+        immune to NTP steps."""
         assert Deadline(1.0)._clock is time.monotonic
-        assert Heartbeat()._clock is time.monotonic
         assert LeaseTable()._clock is time.monotonic
-
-    def test_heartbeat_age_and_miss(self):
-        clock = FakeClock()
-        hb = Heartbeat(clock=clock)
-        clock.now = 2.0
-        assert hb.age_s() == pytest.approx(2.0)
-        assert hb.missed(1.5) and not hb.missed(3.0)
-        hb.beat()
-        assert hb.age_s() == 0.0
 
 
 # ---------------------------------------------------------------------------

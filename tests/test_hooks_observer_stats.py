@@ -1,146 +1,6 @@
-"""Forward hooks, activation observation, channel statistics, sweep compare."""
+"""Sweep comparison."""
 
-import numpy as np
 import pytest
-
-from repro.data.dataset import DrainageCrossingDataset
-from repro.data.stats import ChannelStats, Normalizer, compute_channel_stats
-from repro.nn import Conv2d, Linear, ReLU, SearchableResNet18, Sequential
-from repro.quant.observer import ActivationObserver
-from repro.tensor.tensor import Tensor
-
-
-class TestForwardHooks:
-    def test_hook_sees_output(self):
-        layer = Linear(3, 2, rng=0)
-        seen = []
-        handle = layer.register_forward_hook(lambda m, args, out: seen.append(out.shape))
-        layer(Tensor(np.zeros((4, 3), dtype=np.float32)))
-        assert seen == [(4, 2)]
-        handle.remove()
-        layer(Tensor(np.zeros((4, 3), dtype=np.float32)))
-        assert len(seen) == 1  # removed hooks stop firing
-
-    def test_hook_can_replace_output(self):
-        layer = ReLU()
-        layer.register_forward_hook(lambda m, args, out: out * 2.0)
-        out = layer(Tensor(np.array([1.0, -1.0], dtype=np.float32)))
-        np.testing.assert_allclose(out.data, [2.0, 0.0])
-
-    def test_remove_is_idempotent(self):
-        layer = ReLU()
-        handle = layer.register_forward_hook(lambda m, a, o: None)
-        handle.remove()
-        handle.remove()
-
-    def test_multiple_hooks_run_in_order(self):
-        layer = ReLU()
-        calls = []
-        layer.register_forward_hook(lambda m, a, o: calls.append("first"))
-        layer.register_forward_hook(lambda m, a, o: calls.append("second"))
-        layer(Tensor(np.zeros(2, dtype=np.float32)))
-        assert calls == ["first", "second"]
-
-
-class TestActivationObserver:
-    def _model(self):
-        return Sequential(Conv2d(2, 4, 3, padding=1, rng=0), ReLU(), Conv2d(4, 2, 3, padding=1, rng=1))
-
-    def test_collects_ranges_for_leaves(self):
-        model = self._model()
-        observer = ActivationObserver(model)
-        x = Tensor(np.random.default_rng(0).normal(size=(2, 2, 8, 8)).astype(np.float32))
-        with observer:
-            model(x)
-            model(x)
-        summary = observer.summary()
-        assert len(summary) == 3  # two convs + relu, no container row
-        assert all(row["batches"] == 2 for row in summary)
-
-    def test_detach_stops_collection(self):
-        model = self._model()
-        observer = ActivationObserver(model).attach()
-        observer.detach()
-        model(Tensor(np.zeros((1, 2, 8, 8), dtype=np.float32)))
-        assert all(not r.observed for r in observer.ranges.values())
-
-    def test_relu_range_nonnegative(self):
-        model = self._model()
-        observer = ActivationObserver(model, layer_types=(ReLU,))
-        with observer:
-            model(Tensor(np.random.default_rng(1).normal(size=(2, 2, 8, 8)).astype(np.float32)))
-        (record,) = [r for r in observer.ranges.values() if r.observed]
-        assert record.low >= 0.0
-
-    def test_fit_quantizers_cover_ranges(self):
-        model = self._model()
-        observer = ActivationObserver(model)
-        with observer:
-            model(Tensor(np.random.default_rng(2).normal(size=(2, 2, 8, 8)).astype(np.float32)))
-        quantizers = observer.fit_quantizers()
-        for name, record in observer.ranges.items():
-            quantizer = quantizers[name]
-            # The observed extremes must be representable within half a step.
-            for value in (record.low, record.high):
-                code = quantizer.quantize(np.array([value]))
-                assert abs(quantizer.dequantize(code)[0] - value) <= 0.5 * quantizer.scale + 1e-9
-
-    def test_double_attach_rejected(self):
-        observer = ActivationObserver(self._model()).attach()
-        with pytest.raises(RuntimeError):
-            observer.attach()
-
-    def test_works_on_resnet(self):
-        model = SearchableResNet18(in_channels=5, kernel_size=3, padding=1,
-                                   pool_choice=0, initial_output_feature=32)
-        model.eval()
-        observer = ActivationObserver(model)
-        with observer:
-            from repro.tensor.tensor import no_grad
-
-            with no_grad():
-                model(Tensor(np.zeros((1, 5, 32, 32), dtype=np.float32)))
-        assert len(observer.summary()) > 30
-
-
-class TestChannelStats:
-    @pytest.fixture(scope="class")
-    def dataset(self):
-        return DrainageCrossingDataset(channels=5, size=24, samples_per_class=3,
-                                       regions=["nebraska"], seed=0)
-
-    def test_matches_direct_computation(self, dataset):
-        stats = compute_channel_stats(dataset, batch=4)
-        x = np.stack([dataset.patch(i) for i in range(len(dataset))])
-        direct_mean = x.transpose(1, 0, 2, 3).reshape(5, -1).mean(axis=1)
-        direct_std = x.transpose(1, 0, 2, 3).reshape(5, -1).std(axis=1)
-        np.testing.assert_allclose(stats.mean, direct_mean, rtol=1e-4, atol=1e-5)
-        np.testing.assert_allclose(stats.std, direct_std, rtol=1e-4, atol=1e-5)
-
-    def test_batch_size_invariance(self, dataset):
-        a = compute_channel_stats(dataset, batch=3)
-        b = compute_channel_stats(dataset, batch=100)
-        np.testing.assert_allclose(a.mean, b.mean, rtol=1e-5)
-        np.testing.assert_allclose(a.std, b.std, rtol=1e-5)
-
-    def test_normalizer_standardizes(self, dataset):
-        stats = compute_channel_stats(dataset)
-        normalizer = Normalizer(stats)
-        x = np.stack([dataset.patch(i) for i in range(len(dataset))])
-        z = normalizer(x)
-        flat = z.transpose(1, 0, 2, 3).reshape(5, -1)
-        np.testing.assert_allclose(flat.mean(axis=1), 0.0, atol=1e-3)
-        np.testing.assert_allclose(flat.std(axis=1), 1.0, atol=1e-3)
-        np.testing.assert_allclose(normalizer.inverse(z), x, rtol=1e-3, atol=1e-4)
-
-    def test_validation(self, dataset):
-        with pytest.raises(ValueError):
-            compute_channel_stats(dataset, indices=np.array([], dtype=np.int64))
-        with pytest.raises(ValueError):
-            ChannelStats(mean=np.zeros(3), std=np.zeros(3))
-        stats = compute_channel_stats(dataset)
-        with pytest.raises(ValueError):
-            Normalizer(stats)(np.zeros((2, 7, 4, 4), dtype=np.float32))
 
 
 class TestSweepCompare:

@@ -1,5 +1,8 @@
 """Latency prediction: fusion, kernels, device models, calibration."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -19,6 +22,20 @@ from repro.latency.calibration import PAPER_ANCHORS, calibration_report
 from repro.latency.devices import kernel_latency_ms
 from repro.latency.kernels import Kernel
 from repro.nn import SearchableResNet18, build_baseline_resnet18
+
+GOLDEN_ANCHORS = Path(__file__).parent / "golden" / "latency_anchors.json"
+
+
+def latency_anchors_golden() -> list[dict]:
+    """The golden-file view of ``calibration_report()``: each Table-3/4/5
+    anchor's predicted mean and std at 9 significant digits."""
+    return [
+        {
+            "anchor": row["anchor"],
+            **{key: float(f"{row[key]:.9g}") for key in ("pred_mean", "pred_std")},
+        }
+        for row in calibration_report()
+    ]
 
 
 def _winner(channels=7):
@@ -162,6 +179,11 @@ class TestCalibration:
     def test_anchor_set_covers_tables_4_and_5(self):
         labels = {a.label for a in PAPER_ANCHORS}
         assert {"baseline-5ch", "baseline-7ch", "pareto-A", "pareto-C", "sweep-max"} <= labels
+
+    def test_anchor_predictions_match_golden_file(self):
+        """Every anchor's predicted mean and std under the frozen
+        ``DEVICE_PROFILES`` is unchanged."""
+        assert latency_anchors_golden() == json.loads(GOLDEN_ANCHORS.read_text())
 
 
 class TestKernelVariantRegistry:

@@ -1,14 +1,9 @@
-"""Latency breakdown reports and the energy extension."""
+"""The energy extension of the latency predictors."""
 
 import pytest
 
 from repro.graph.trace import trace_model
-from repro.latency import (
-    DEVICE_PROFILES,
-    breakdown_table,
-    estimate_energy_mj,
-    latency_breakdown,
-)
+from repro.latency import DEVICE_PROFILES, estimate_energy_mj
 from repro.latency.energy import ENERGY_MODELS
 from repro.nn import SearchableResNet18, build_baseline_resnet18
 
@@ -18,30 +13,6 @@ def _graph(pool=1, f=64):
                                pool_choice=pool, kernel_size_pool=3, stride_pool=2,
                                initial_output_feature=f)
     return trace_model(model, (100, 100))
-
-
-class TestBreakdown:
-    def test_rows_sum_to_prediction(self):
-        from repro.latency.predictors import LatencyPredictor
-
-        graph = _graph()
-        profile = DEVICE_PROFILES["cortexA76cpu"]
-        rows = latency_breakdown(graph, profile)
-        total = sum(r["ms"] for r in rows)
-        assert total == pytest.approx(LatencyPredictor(profile).predict_graph(graph), rel=1e-6)
-
-    def test_sorted_descending(self):
-        rows = latency_breakdown(_graph(), DEVICE_PROFILES["myriadvpu"])
-        costs = [r["ms"] for r in rows]
-        assert costs == sorted(costs, reverse=True)
-
-    def test_vpu_pool_tops_breakdown(self):
-        rows = latency_breakdown(_graph(pool=1), DEVICE_PROFILES["myriadvpu"])
-        assert rows[0]["type"] == "maxpool"
-
-    def test_table_renders(self):
-        text = breakdown_table(_graph(), device="adreno640gpu", top=5)
-        assert "adreno640gpu" in text and "share" in text
 
 
 class TestEnergy:

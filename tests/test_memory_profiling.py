@@ -1,58 +1,16 @@
-"""Memory estimators and the layer profiler."""
+"""The layer profiler and the training-step profiler."""
 
 import numpy as np
 import pytest
 
 from repro.graph.trace import trace_model
-from repro.memory import (
-    activation_memory_bytes,
-    parameter_memory_bytes,
-    peak_inference_memory_bytes,
-)
-from repro.memory.estimator import memory_report
-from repro.nn import SearchableResNet18, build_baseline_resnet18, count_parameters
+from repro.nn import SearchableResNet18
 from repro.profiling import LayerProfiler, profile_model, profile_table
 
 
 def _winner():
     return SearchableResNet18(in_channels=5, kernel_size=3, stride=2, padding=1,
                               pool_choice=0, initial_output_feature=32)
-
-
-class TestMemoryEstimators:
-    def test_parameter_bytes(self):
-        model = _winner()
-        graph = trace_model(model, (64, 64))
-        assert parameter_memory_bytes(graph) == 4 * count_parameters(model)
-
-    def test_activation_total_exceeds_peak(self):
-        graph = trace_model(_winner(), (64, 64))
-        assert activation_memory_bytes(graph) >= peak_inference_memory_bytes(graph)
-
-    def test_peak_scales_with_batch(self):
-        graph = trace_model(_winner(), (64, 64))
-        assert peak_inference_memory_bytes(graph, batch=4) == 4 * peak_inference_memory_bytes(graph, batch=1)
-
-    def test_peak_nontrivial_lower_bound(self):
-        # The peak must hold at least the largest single tensor.
-        graph = trace_model(_winner(), (64, 64))
-        biggest = max(
-            int(np.prod(node.out_shape)) for node in graph.nodes()
-        )
-        assert peak_inference_memory_bytes(graph) >= 4 * biggest
-
-    def test_no_pool_variant_needs_more_activation_memory(self):
-        pooled = SearchableResNet18(in_channels=5, kernel_size=3, stride=2, padding=1,
-                                    pool_choice=1, kernel_size_pool=3, stride_pool=2,
-                                    initial_output_feature=32)
-        g_pool = trace_model(pooled, (100, 100))
-        g_nopool = trace_model(_winner(), (100, 100))
-        assert peak_inference_memory_bytes(g_nopool) > peak_inference_memory_bytes(g_pool)
-
-    def test_memory_report_keys(self):
-        report = memory_report(_winner(), input_hw=(64, 64))
-        assert set(report) == {"storage_mb", "parameter_bytes", "activation_bytes", "peak_inference_bytes"}
-        assert report["storage_mb"] == pytest.approx(11.2, rel=0.01)
 
 
 class TestProfiler:
@@ -106,10 +64,3 @@ class TestTrainingStepProfiler:
 
         with pytest.raises(ValueError):
             profile_training_step(_winner(), steps=0)
-
-    def test_training_table_renders(self):
-        from repro.profiling import profile_training_step, training_profile_table
-
-        profile = profile_training_step(_winner(), batch=2, input_hw=(32, 32), steps=1)
-        text = training_profile_table(profile)
-        assert "forward" in text and "backward" in text and "optimizer" in text

@@ -15,10 +15,8 @@ from repro.nn import (
     build_baseline_resnet18,
     build_model,
     count_parameters,
-    model_summary,
 )
 from repro.nn.init import skip_init
-from repro.nn.serialize import load_state_dict, save_state_dict, state_dict_from_bytes, state_dict_to_bytes
 from repro.tensor.tensor import Tensor
 
 
@@ -193,32 +191,3 @@ class TestBuildModel:
         model = build_model(winner_config)
         assert model.config["initial_output_feature"] == 32
         assert model.config["pool_choice"] == 0
-
-
-class TestSerialization:
-    def test_bytes_roundtrip(self):
-        model = SearchableResNet18(kernel_size=3, padding=1, initial_output_feature=32, pool_choice=0)
-        payload = state_dict_to_bytes(model.state_dict())
-        restored = state_dict_from_bytes(payload)
-        np.testing.assert_array_equal(restored["conv1.weight"], model.conv1.weight.data)
-
-    def test_file_roundtrip_preserves_outputs(self, tmp_path):
-        a = SearchableResNet18(seed=1, kernel_size=3, padding=1, initial_output_feature=32, pool_choice=0)
-        b = SearchableResNet18(seed=2, kernel_size=3, padding=1, initial_output_feature=32, pool_choice=0)
-        x = _x(2, 5, 32)
-        a.eval(), b.eval()
-        save_state_dict(a, tmp_path / "m.bin")
-        load_state_dict(b, tmp_path / "m.bin")
-        np.testing.assert_allclose(a(x).data, b(x).data, rtol=1e-5)
-
-    def test_bad_magic_rejected(self):
-        with pytest.raises(ValueError):
-            state_dict_from_bytes(b"NOPE" + b"\x00" * 16)
-
-
-class TestSummary:
-    def test_summary_total_matches(self):
-        model = SearchableResNet18(kernel_size=3, padding=1, initial_output_feature=32, pool_choice=0)
-        text = model_summary(model)
-        assert str(count_parameters(model)) in text
-        assert "conv1" in text

@@ -1,81 +1,10 @@
-"""LR schedulers and the Dropout layer."""
+"""The Dropout layer."""
 
 import numpy as np
 import pytest
 
-from repro.nn import (
-    SGD,
-    CosineAnnealingLR,
-    Dropout,
-    Linear,
-    Parameter,
-    StepLR,
-    WarmupWrapper,
-)
+from repro.nn import Dropout
 from repro.tensor.tensor import Tensor
-
-
-def _optimizer(lr=0.1):
-    return SGD([Parameter(np.zeros(2))], lr=lr)
-
-
-class TestStepLR:
-    def test_decay_schedule(self):
-        opt = _optimizer(0.1)
-        sched = StepLR(opt, step_size=2, gamma=0.5)
-        lrs = [sched.step() for _ in range(6)]
-        assert lrs == pytest.approx([0.1, 0.05, 0.05, 0.025, 0.025, 0.0125])
-
-    def test_applies_to_optimizer(self):
-        opt = _optimizer(1.0)
-        StepLR(opt, step_size=1, gamma=0.1).step()
-        assert opt.lr == pytest.approx(0.1)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            StepLR(_optimizer(), step_size=0)
-        with pytest.raises(ValueError):
-            StepLR(_optimizer(), step_size=1, gamma=0.0)
-
-
-class TestCosineAnnealing:
-    def test_endpoints(self):
-        opt = _optimizer(0.2)
-        sched = CosineAnnealingLR(opt, t_max=10, eta_min=0.02)
-        lrs = [sched.step() for _ in range(10)]
-        assert lrs[0] < 0.2  # already decaying after first epoch
-        assert lrs[-1] == pytest.approx(0.02, abs=1e-9)
-
-    def test_monotone_decrease(self):
-        sched = CosineAnnealingLR(_optimizer(0.1), t_max=8)
-        lrs = [sched.step() for _ in range(8)]
-        assert all(a >= b for a, b in zip(lrs, lrs[1:]))
-
-    def test_clamps_past_t_max(self):
-        sched = CosineAnnealingLR(_optimizer(0.1), t_max=3, eta_min=0.01)
-        for _ in range(5):
-            lr = sched.step()
-        assert lr == pytest.approx(0.01)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            CosineAnnealingLR(_optimizer(), t_max=0)
-        with pytest.raises(ValueError):
-            CosineAnnealingLR(_optimizer(), t_max=5, eta_min=-1.0)
-
-
-class TestWarmup:
-    def test_linear_ramp_then_delegate(self):
-        opt = _optimizer(0.1)
-        inner = StepLR(opt, step_size=100, gamma=0.5)  # effectively constant
-        sched = WarmupWrapper(inner, warmup_epochs=4)
-        lrs = [sched.step() for _ in range(6)]
-        assert lrs[:4] == pytest.approx([0.025, 0.05, 0.075, 0.1])
-        assert lrs[4] == pytest.approx(0.1)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            WarmupWrapper(StepLR(_optimizer(), step_size=1), warmup_epochs=0)
 
 
 class TestDropoutLayer:
@@ -98,19 +27,3 @@ class TestDropoutLayer:
     def test_validation(self):
         with pytest.raises(ValueError):
             Dropout(p=1.0)
-
-
-class TestSchedulerIntegration:
-    def test_scheduler_drives_training(self):
-        rng = np.random.default_rng(0)
-        target = rng.normal(size=(4,)).astype(np.float32)
-        p = Parameter(np.zeros(4))
-        opt = SGD([p], lr=0.5)
-        sched = CosineAnnealingLR(opt, t_max=50, eta_min=0.01)
-        for _ in range(50):
-            opt.zero_grad()
-            ((p - Tensor(target)) ** 2.0).sum().backward()
-            opt.step()
-            sched.step()
-        np.testing.assert_allclose(p.data, target, atol=1e-2)
-        assert opt.lr == pytest.approx(0.01)

@@ -1,18 +1,10 @@
-"""Executors, partitioning and LPT scheduling."""
+"""Serial and process-pool executors."""
 
 import os
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from repro.parallel import (
-    ProcessPoolExecutorBackend,
-    SerialExecutor,
-    chunk_evenly,
-    chunk_fixed,
-    lpt_schedule,
-    make_executor,
-)
+from repro.parallel import ProcessPoolExecutorBackend, SerialExecutor, make_executor
 
 
 def _square(x):
@@ -55,49 +47,3 @@ class TestProcessPool:
         assert pool.map(_square, []) == []
         assert pool._pool is None  # no worker processes were started
         pool.close()
-
-
-class TestChunking:
-    @settings(max_examples=40, deadline=None)
-    @given(n=st.integers(0, 50), parts=st.integers(1, 10))
-    def test_chunk_evenly_partitions(self, n, parts):
-        items = list(range(n))
-        chunks = chunk_evenly(items, parts)
-        assert len(chunks) == parts
-        assert sum(chunks, []) == items
-        sizes = [len(c) for c in chunks]
-        assert max(sizes) - min(sizes) <= 1
-
-    def test_chunk_fixed(self):
-        assert chunk_fixed([1, 2, 3, 4, 5], 2) == [[1, 2], [3, 4], [5]]
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            chunk_evenly([1], 0)
-        with pytest.raises(ValueError):
-            chunk_fixed([1], 0)
-
-
-class TestLpt:
-    @settings(max_examples=40, deadline=None)
-    @given(
-        costs=st.lists(st.floats(0.0, 100.0, allow_nan=False), max_size=40),
-        workers=st.integers(1, 6),
-    )
-    def test_valid_partition(self, costs, workers):
-        assignments = lpt_schedule(costs, workers)
-        assert len(assignments) == workers
-        flat = sorted(task for bucket in assignments for task in bucket)
-        assert flat == list(range(len(costs)))
-
-    def test_balances_heterogeneous_costs(self):
-        costs = [10.0, 10.0, 1.0] * 4
-        loads = [sum(costs[t] for t in bucket) for bucket in lpt_schedule(costs, 4)]
-        # LPT guarantee: makespan <= 4/3 OPT (OPT = 21 here).
-        assert max(loads) <= 4 / 3 * 21 + 1e-9
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            lpt_schedule([1.0], 0)
-        with pytest.raises(ValueError):
-            lpt_schedule([-1.0], 2)

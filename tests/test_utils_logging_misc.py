@@ -56,26 +56,3 @@ class TestPermutationFor:
     def test_is_a_permutation(self):
         p = permutation_for(list(range(20)), seed=3)
         np.testing.assert_array_equal(np.sort(p), np.arange(20))
-
-
-class TestSerializeEdgeCases:
-    def test_state_dict_bytes_empty(self):
-        from repro.nn.serialize import state_dict_from_bytes, state_dict_to_bytes
-
-        payload = state_dict_to_bytes({})
-        assert state_dict_from_bytes(payload) == {}
-
-    def test_state_dict_preserves_dtypes(self):
-        from repro.nn.serialize import state_dict_from_bytes, state_dict_to_bytes
-
-        state = {"a": np.arange(4, dtype=np.float32), "b": np.arange(3, dtype=np.int64)}
-        back = state_dict_from_bytes(state_dict_to_bytes(state))
-        assert back["a"].dtype == np.float32
-        assert back["b"].dtype == np.int64
-
-    def test_stable_key_order(self):
-        from repro.nn.serialize import state_dict_to_bytes
-
-        a = state_dict_to_bytes({"x": np.zeros(2), "y": np.ones(2)})
-        b = state_dict_to_bytes({"y": np.ones(2), "x": np.zeros(2)})
-        assert a == b

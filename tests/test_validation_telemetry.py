@@ -1,4 +1,4 @@
-"""Reproduction verifier, telemetry, batch-latency extension."""
+"""Reproduction verifier and the batch-latency extension."""
 
 import json
 from pathlib import Path
@@ -11,10 +11,7 @@ from repro.core.validation import Check, VerificationReport, verify_reproduction
 from repro.graph.trace import trace_model
 from repro.latency.devices import DEVICE_PROFILES
 from repro.latency.predictors import batch_latency_ms
-from repro.nas import Experiment, GridSearch, SurrogateEvaluator
 from repro.nas.config import ModelConfig
-from repro.nas.searchspace import SearchSpace
-from repro.nas.telemetry import RunTelemetry
 from repro.nn import SearchableResNet18
 
 GOLDEN_SWEEP = Path(__file__).parent / "golden" / "paper_sweep_seed0.json"
@@ -74,39 +71,6 @@ class TestFullReproduction:
         objectives are unchanged (the sweep is cached, so this reuses the
         run above)."""
         assert paper_sweep_golden(seed=0) == json.loads(GOLDEN_SWEEP.read_text())
-
-
-class TestRunTelemetry:
-    def test_collects_from_experiment(self):
-        space = SearchSpace(
-            kernel_size=(3,), stride=(2,), padding=(1,), pool_choice=(0,),
-            kernel_size_pool=(3,), stride_pool=(2,), initial_output_feature=(32,),
-            channels=(5,), batches=(8, 16, 32),
-        )
-        telemetry = RunTelemetry()
-        experiment = Experiment(SurrogateEvaluator(), GridSearch(space),
-                                input_hw=(48, 48), progress=telemetry)
-        experiment.run(budget=3)
-        assert len(telemetry.durations) == 3
-        assert telemetry.total == 3
-        assert telemetry.failures == 0
-        assert telemetry.mean_trial_s >= 0.0
-        assert "3/3 trials" in telemetry.summary()
-
-    def test_eta_estimation(self):
-        telemetry = RunTelemetry()
-        telemetry._done = 5
-        telemetry.total = 10
-        telemetry.started_at -= 5.0  # pretend 5 s elapsed
-        eta = telemetry.eta_seconds()
-        assert 3.0 < eta < 8.0
-        assert "eta" in telemetry.eta_line()
-
-    def test_eta_without_progress_is_inf(self):
-        telemetry = RunTelemetry()
-        telemetry.total = 10
-        assert telemetry.eta_seconds() == float("inf")
-        assert "?" in telemetry.eta_line()
 
 
 class TestBatchLatency:
