@@ -31,6 +31,7 @@ from repro.serve import (
     PlanServer,
     ServeConfig,
     ServeRequest,
+    TenantLoad,
     run_load,
     serial_baseline,
 )
@@ -329,7 +330,7 @@ class TestServingThroughput:
             rounds = []
             for _ in range(3):
                 baseline = serial_baseline(serve_plan.replicate(), duration_s=0.5, seed=0)
-                report = run_load(server, duration_s=1.0, clients=32, seed=0)
+                report = run_load(server, [TenantLoad(clients=32)], duration_s=1.0, seed=0)
                 rounds.append((report.throughput_ips / baseline.throughput_ips,
                                baseline, report))
             rounds.sort(key=lambda r: r[0])
@@ -396,8 +397,8 @@ class TestServingThroughput:
             np.testing.assert_array_equal(ts.infer(ServeRequest(image=x)).row,
                                           ps.infer(ServeRequest(image=x)).row)
             for _ in range(3):
-                thread_report = run_load(ts, duration_s=1.0, clients=32, seed=0)
-                proc_report = run_load(ps, duration_s=1.0, clients=32, seed=0)
+                thread_report = run_load(ts, [TenantLoad(clients=32)], duration_s=1.0, seed=0)
+                proc_report = run_load(ps, [TenantLoad(clients=32)], duration_s=1.0, seed=0)
                 rounds.append((proc_report.throughput_ips
                                / thread_report.throughput_ips,
                                thread_report, proc_report))

@@ -24,7 +24,8 @@ Subcommands
     server: throughput, p50/p99 latency, speedup vs the serial
     single-image baseline; ``--json`` for a CI artifact, ``--obs-log``
     for the metrics JSONL, ``--quantized``/``--autotune-json`` for the
-    int8 scenario and its kernel-selection artifact.
+    int8 scenario and its kernel-selection artifact, ``--fleet N`` for
+    the multi-tenant Pareto-ladder fleet (same load and report).
 ``obs``
     Render or export an observability JSONL log (``repro obs report`` /
     ``repro obs export``); logs are produced by ``sweep --obs-log`` or
@@ -336,49 +337,32 @@ _FLEET_WIDTHS = (32, 48, 64)
 _FLEET_NAMES = ("pareto-s", "pareto-m", "pareto-l")
 
 
-def _run_fleet_bench(args: argparse.Namespace) -> int:
-    """The mixed-model multi-tenant fleet scenario behind ``--fleet N``."""
+def _serve_bench_fleet(args: argparse.Namespace, policy):
+    """The mixed-model multi-tenant fleet scenario behind ``--fleet N``:
+    ``(fleet, tenants, JSON fields, None)``."""
     import dataclasses
-    import json
 
-    import repro.obs as obs
     from repro.deploy import load_runtime
     from repro.graph.trace import trace_model
     from repro.latency import latency_table
     from repro.nas.surrogate import SurrogateEvaluator
     from repro.nn.resnet import build_model
     from repro.onnxlite.export import export_model
-    from repro.parallel import available_cpus
     from repro.serve import (
         AdmissionPolicy,
         AutoscalerConfig,
-        BatchPolicy,
         FleetServer,
         ServeConfig,
         TenantLoad,
         TenantQuota,
-        run_fleet_load,
     )
 
-    if args.worker_mode != "thread":
-        _LOG.error("--fleet is thread-mode only; drop --policy.worker-mode")
-        return 2
     n_models = min(args.fleet, len(_FLEET_WIDTHS))
     if n_models < args.fleet:
         _LOG.warning("--fleet %d clamped to the %d-rung width ladder",
                      args.fleet, n_models)
-    if args.obs_log:
-        obs.configure(jsonl_path=args.obs_log, reset_metrics=True)
-
     base_config = _config_from_args(args)
     surrogate = SurrogateEvaluator()
-    policy = BatchPolicy(
-        max_batch_size=args.max_batch,
-        max_queue_delay_ms=args.max_delay_ms,
-        max_queue_depth=args.queue_depth,
-        replicas=args.replicas,
-        worker_mode="thread",
-    )
     serve_config = ServeConfig(
         policy=policy,
         admission=AdmissionPolicy(tenants={
@@ -430,89 +414,28 @@ def _run_fleet_bench(args: argparse.Namespace) -> int:
         TenantLoad(name="archive", clients=max(1, args.clients // 8),
                    model=_FLEET_NAMES[n_models - 1], deadline_ms=1500.0),
     ]
-    try:
-        with fleet:
-            report = run_fleet_load(
-                fleet, tenants, duration_s=args.duration, seed=args.seed
-            )
-            stats = fleet.stats()
-            scale_events = list(fleet.scale_events)
-    finally:
-        if args.obs_log:
-            obs.shutdown()
-
-    print(report.render())
-    for event in scale_events:
-        print(f"  scale {event['action']:<4} {event['model']} -> "
-              f"{event['replicas']} replica(s) (queue {event['queue_depth']})")
-    print(f"  cores {available_cpus()}  cache hits {stats['hits']}  "
-          f"misses {stats['misses']}")
-    if args.obs_log:
-        print(f"observability log written to {args.obs_log} "
-              f"(render with: repro-nas obs report {args.obs_log})")
-
-    if args.json:
-        payload = {
-            "fleet": report.as_dict(),
-            "models": models,
-            "tenants": [dataclasses.asdict(t) for t in tenants],
-            "slo_attainment": report.slo_attainment,
-            "all_routes_fit_budget": report.all_routes_fit_budget,
-            "scale_events": scale_events,
-            "counters": {
-                name: {k: v for k, v in m.items() if isinstance(v, (int, float))}
-                for name, m in stats["models"].items()
-            },
-            "admission": stats.get("admission", {}),
-            "extra_info": {
-                "cpu_count": available_cpus(),
-                # The resolved (post-clamp) server construction config.
-                "serve_config": fleet.config.as_dict(),
-            },
-            "input_hw": args.size,
-        }
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-        print(f"JSON written to {args.json}")
-
-    if args.assert_slo > 0:
-        ok = report.slo_attainment >= args.assert_slo and report.all_routes_fit_budget
-        if not ok:
-            _LOG.error(
-                "fleet SLO assertion failed: attainment %.4f (need >= %.4f), "
-                "all_routes_fit_budget=%s",
-                report.slo_attainment, args.assert_slo,
-                report.all_routes_fit_budget,
-            )
-            return 1
-        print(f"SLO assertion passed: attainment "
-              f"{100 * report.slo_attainment:.2f}% >= "
-              f"{100 * args.assert_slo:.0f}%, all routes fit budget")
-    return 0
+    return fleet, tenants, {"models": models}, None
 
 
-def _cmd_serve_bench(args: argparse.Namespace) -> int:
+def _serve_bench_model(args: argparse.Namespace, policy):
+    """One compiled plan behind a :class:`~repro.serve.PlanServer`:
+    ``(server, tenants, JSON fields, serial baseline)``, the baselines
+    measured before the server starts.  ``--target-p99-ms`` replaces
+    ``policy`` with one seeded from the latency predictors."""
     import json
 
-    import repro.obs as obs
     from repro.deploy import load_runtime
     from repro.graph.trace import trace_model
     from repro.nn.resnet import build_model
     from repro.onnxlite.export import export_model
-    from repro.parallel import available_cpus
     from repro.serve import (
-        BatchPolicy,
         PlanServer,
         ServeConfig,
-        run_load,
+        TenantLoad,
         serial_baseline,
         suggest_batch_policy,
     )
 
-    if args.fleet > 0:
-        return _run_fleet_bench(args)
-    if args.obs_log:
-        obs.configure(jsonl_path=args.obs_log, reset_metrics=True)
     config = _config_from_args(args)
     model = build_model(config)
     runtime = load_runtime(export_model(model, input_hw=(args.size, args.size)))
@@ -537,16 +460,8 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
               f"max_batch={policy.max_batch_size}, "
               f"max_delay={policy.max_queue_delay_ms:.2f} ms, "
               f"queue_depth={policy.max_queue_depth}")
-    else:
-        policy = BatchPolicy(
-            max_batch_size=args.max_batch,
-            max_queue_delay_ms=args.max_delay_ms,
-            max_queue_depth=args.queue_depth,
-            replicas=args.replicas,
-            worker_mode=args.worker_mode,
-        )
     baseline = serial_baseline(plan.replicate(), duration_s=min(1.0, args.duration / 2))
-    quantized_info = None
+    fields: dict = {"serial_baseline": baseline.as_dict()}
     if args.quantized:
         # Paired serial comparison on the same machine state: the served
         # plan (quantized + autotuned) vs the fp32 default compilation.
@@ -554,7 +469,7 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
                                       duration_s=min(1.0, args.duration / 2))
         ratio = (baseline.throughput_ips / fp32_serial.throughput_ips
                  if fp32_serial.throughput_ips else float("nan"))
-        quantized_info = {
+        fields["quantized"] = {
             "autotuned_layers": len(tune.variants),
             "autotune_cached": tune.cached,
             "serial_fp32_ips": round(fp32_serial.throughput_ips, 1),
@@ -563,30 +478,76 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         }
         print(f"quantized vs fp32 serial: {baseline.throughput_ips:.1f} vs "
               f"{fp32_serial.throughput_ips:.1f} images/sec ({ratio:.2f}x)")
+    if args.autotune_json:
+        if tune is None:
+            _LOG.warning("--autotune-json requires --quantized; nothing written")
+        else:
+            with open(args.autotune_json, "w", encoding="utf-8") as fh:
+                json.dump(tune.to_json(), fh, indent=2)
+            print(f"autotune decision table written to {args.autotune_json}")
+
+    server = PlanServer(plan, config=ServeConfig(policy=policy))
+    return server, [TenantLoad(clients=args.clients)], fields, baseline
+
+
+def _cmd_serve_bench(args: argparse.Namespace) -> int:
+    import dataclasses
+    import json
+
+    import repro.obs as obs
+    from repro.parallel import available_cpus
+    from repro.serve import BatchPolicy, run_load
+
+    if args.fleet > 0:
+        single_model_flags = [flag for flag, value in (
+            ("--policy.worker-mode", args.worker_mode != "thread"),
+            ("--quantized", args.quantized),
+            ("--target-p99-ms", args.target_p99_ms),
+            ("--autotune-cache", args.autotune_cache),
+            ("--autotune-json", args.autotune_json),
+        ) if value]
+        if single_model_flags:
+            _LOG.error("--fleet serves the thread-mode fp32 width ladder; drop %s",
+                       ", ".join(single_model_flags))
+            return 2
+    policy = BatchPolicy(
+        max_batch_size=args.max_batch,
+        max_queue_delay_ms=args.max_delay_ms,
+        max_queue_depth=args.queue_depth,
+        replicas=args.replicas,
+        worker_mode=args.worker_mode,
+    )
+    if args.obs_log:
+        obs.configure(jsonl_path=args.obs_log, reset_metrics=True)
     try:
-        with PlanServer(plan, config=ServeConfig(policy=policy)) as server:
-            effective_policy = server.policy  # replicas may have been clamped
-            effective_config = server.config
+        scenario = _serve_bench_fleet if args.fleet > 0 else _serve_bench_model
+        server, tenants, fields, baseline = scenario(args, policy)
+        with server:
             report = run_load(
                 server,
+                tenants,
                 duration_s=args.duration,
-                clients=args.clients,
-                arrival_rate_ips=args.rate or None,
                 seed=args.seed,
+                arrival_rate_ips=args.rate or None,
             )
             stats = server.stats()
     finally:
         if args.obs_log:
             obs.shutdown()
-    policy = effective_policy
-    speedup = (report.throughput_ips / baseline.throughput_ips
-               if baseline.throughput_ips else float("nan"))
-    print(f"serial baseline: {baseline.throughput_ips:.1f} images/sec "
-          f"(p50 {baseline.latency_ms_p50:.2f} ms)")
+
+    policy = server.policy  # replicas may have been clamped
     print(report.render())
-    print(f"  speedup     {speedup:.2f}x vs serial single-image")
-    print(f"  cache       hits {stats['hits']}  misses {stats['misses']}  "
-          f"rejected {stats['rejected']}")
+    if baseline is not None:
+        speedup = (report.throughput_ips / baseline.throughput_ips
+                   if baseline.throughput_ips else float("nan"))
+        fields["speedup_vs_serial"] = round(speedup, 3)
+        print(f"  serial      {baseline.throughput_ips:.1f} images/sec  "
+              f"(p50 {baseline.latency_ms_p50:.2f} ms)")
+        print(f"  speedup     {speedup:.2f}x vs serial single-image")
+    for event in stats["scale_events"]:
+        print(f"  scale {event['action']:<4} {event['model']} -> "
+              f"{event['replicas']} replica(s) (queue {event['queue_depth']})")
+    print(f"  cache       hits {stats['hits']}  misses {stats['misses']}")
     print(f"  workers     mode {policy.worker_mode}  replicas {policy.replicas}  "
           f"cores {available_cpus()}")
     if policy.worker_mode == "process":
@@ -598,24 +559,22 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
     if args.obs_log:
         print(f"observability log written to {args.obs_log} "
               f"(render with: repro-nas obs report {args.obs_log})")
+
     if args.json:
+        def numeric(counters: dict) -> dict:
+            return {k: v for k, v in counters.items() if isinstance(v, (int, float))}
+
         payload = {
             "serving": report.as_dict(),
-            "serial_baseline": baseline.as_dict(),
-            "speedup_vs_serial": round(speedup, 3),
-            "policy": {
-                "max_batch_size": policy.max_batch_size,
-                "max_queue_delay_ms": round(policy.max_queue_delay_ms, 3),
-                "max_queue_depth": policy.max_queue_depth,
-                "replicas": policy.replicas,
-                "worker_mode": policy.worker_mode,
-            },
+            **fields,
+            "tenants": [dataclasses.asdict(t) for t in tenants],
+            "policy": policy.as_dict(),
             "counters": {
-                "rejected": stats["rejected"],
-                "batches_executed": stats["batches_executed"],
-                "worker_deaths": stats.get("worker_deaths", 0),
-                "worker_respawns": stats.get("worker_respawns", 0),
+                **numeric(stats),
+                "models": {name: numeric(m) for name, m in stats["models"].items()},
             },
+            "scale_events": stats["scale_events"],
+            "admission": stats.get("admission", {}),
             "extra_info": {
                 "worker_mode": policy.worker_mode,
                 "workers": policy.replicas,
@@ -625,22 +584,26 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
                 "worker_private_weight_bytes": stats.get(
                     "worker_private_weight_bytes", 0),
                 # The resolved (post-clamp) server construction config.
-                "serve_config": effective_config.as_dict(),
+                "serve_config": server.config.as_dict(),
             },
             "input_hw": args.size,
         }
-        if quantized_info is not None:
-            payload["quantized"] = quantized_info
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2)
         print(f"JSON written to {args.json}")
-    if args.autotune_json:
-        if tune is None:
-            _LOG.warning("--autotune-json requires --quantized; nothing written")
-        else:
-            with open(args.autotune_json, "w", encoding="utf-8") as fh:
-                json.dump(tune.to_json(), fh, indent=2)
-            print(f"autotune decision table written to {args.autotune_json}")
+
+    if args.assert_slo > 0:
+        if report.slo_attainment < args.assert_slo or not report.all_routes_fit_budget:
+            _LOG.error(
+                "SLO assertion failed: attainment %.4f (need >= %.4f), "
+                "all_routes_fit_budget=%s",
+                report.slo_attainment, args.assert_slo,
+                report.all_routes_fit_budget,
+            )
+            return 1
+        print(f"SLO assertion passed: attainment "
+              f"{100 * report.slo_attainment:.2f}% >= "
+              f"{100 * args.assert_slo:.0f}%, all routes fit budget")
     return 0
 
 
@@ -749,7 +712,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve_bench.add_argument("--duration", type=float, default=3.0,
                              help="load-generation length in seconds")
     serve_bench.add_argument("--clients", type=int, default=32,
-                             help="concurrent client threads")
+                             help="concurrent client threads (with --fleet: "
+                                  "split across the three tenants)")
     serve_bench.add_argument("--rate", type=float, default=0.0,
                              help="aggregate open-loop arrival rate in images/sec "
                                   "(0 = closed loop)")
@@ -780,8 +744,10 @@ def build_parser() -> argparse.ArgumentParser:
                                   "Pareto-ladder widths (max 3) under the "
                                   "mixed-tenant scenario instead of one model")
     serve_bench.add_argument("--assert-slo", type=float, default=0.0,
-                             help="with --fleet: exit non-zero unless SLO "
-                                  "attainment reaches this fraction (e.g. 0.95)")
+                             help="exit non-zero unless SLO attainment reaches "
+                                  "this fraction (e.g. 0.95) and every routed "
+                                  "request fit its budget; only the --fleet "
+                                  "tenants declare deadlines and budgets")
     serve_bench.add_argument("--autoscale-max", type=int, default=2,
                              help="with --fleet: autoscaler per-model replica "
                                   "ceiling (min is 1)")

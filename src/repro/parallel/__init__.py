@@ -12,7 +12,6 @@ from repro.parallel.executor import (
     MapItemResult,
     ProcessPoolExecutorBackend,
     SerialExecutor,
-    ThreadPoolExecutorBackend,
     available_cpus,
     make_executor,
 )
@@ -21,7 +20,6 @@ from repro.parallel.scheduler import pick_steal_victim
 __all__ = [
     "Executor",
     "SerialExecutor",
-    "ThreadPoolExecutorBackend",
     "ProcessPoolExecutorBackend",
     "MapItemResult",
     "available_cpus",

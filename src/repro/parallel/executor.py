@@ -36,7 +36,6 @@ from repro.obs import config as _obs
 __all__ = [
     "Executor",
     "SerialExecutor",
-    "ThreadPoolExecutorBackend",
     "ProcessPoolExecutorBackend",
     "MapItemResult",
     "available_cpus",
@@ -154,46 +153,6 @@ class SerialExecutor(Executor):
     def map(self, fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
         self._ensure_open()
         return [fn(item) for item in items]
-
-
-class ThreadPoolExecutorBackend(Executor):
-    """Multi-thread execution via :mod:`concurrent.futures`.
-
-    Threads share the process heap — no pickling, no spawn cost — which
-    makes this the right backend for I/O- or wait-bound tasks (e.g. the
-    serving load generator's closed-loop clients, which spend their time
-    blocked on inference futures) and for GIL-releasing NumPy work.
-    CPU-bound pure-Python tasks should keep using the process backend.
-    """
-
-    def __init__(self, workers: int | None = None) -> None:
-        if workers is not None and workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        self.workers = workers or max(os.cpu_count() or 1, 1)
-        self._pool: concurrent.futures.ThreadPoolExecutor | None = None
-
-    def _ensure_pool(self) -> concurrent.futures.ThreadPoolExecutor:
-        if self._pool is None:
-            self._pool = concurrent.futures.ThreadPoolExecutor(
-                max_workers=self.workers, thread_name_prefix="repro-thread"
-            )
-        return self._pool
-
-    def map(self, fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
-        self._ensure_open()
-        items = list(items)
-        if not items:
-            return []
-        _QUEUE_DEPTH.set(len(items))
-        try:
-            return list(self._ensure_pool().map(fn, items))
-        finally:
-            _QUEUE_DEPTH.set(0)
-
-    def _release(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
 
 
 class ProcessPoolExecutorBackend(Executor):
@@ -377,22 +336,17 @@ def available_cpus() -> int:
 
 
 def make_executor(kind: str = "serial", workers: int | None = None) -> Executor:
-    """Factory: ``"serial"``, ``"thread"``, or ``"process"``.
+    """Factory: ``"serial"`` or ``"process"``.
 
     Parameters
     ----------
     kind:
         Backend name.
     workers:
-        Worker count for the ``"thread"``/``"process"`` backends
-        (default: CPU count).
+        Worker count for the ``"process"`` backend (default: CPU count).
     """
     if kind == "serial":
         return SerialExecutor()
-    if kind == "thread":
-        return ThreadPoolExecutorBackend(workers=workers)
     if kind == "process":
         return ProcessPoolExecutorBackend(workers=workers)
-    raise ValueError(
-        f"unknown executor kind {kind!r}; use 'serial', 'thread', or 'process'"
-    )
+    raise ValueError(f"unknown executor kind {kind!r}; use 'serial' or 'process'")

@@ -34,9 +34,9 @@ server that batches, parallelizes, routes, and sheds load:
 - :class:`ServeConfig` — consolidated construction config
   (:class:`BatchPolicy` + warm + cpus + admission +
   :class:`AutoscalerConfig`);
-- :func:`run_load` / :func:`run_fleet_load` / :func:`serial_baseline` —
-  closed/open-loop and multi-tenant load generation plus the
-  single-stream reference for throughput ratios.
+- :func:`run_load` / :func:`serial_baseline` — one closed/open-loop
+  load generator and :class:`LoadReport` for thread, process and fleet
+  serving, plus the single-stream reference for throughput ratios.
 
 Everything is instrumented through :mod:`repro.obs` (queue depth,
 batch-size / queue-wait / end-to-end latency histograms, served /
@@ -63,14 +63,7 @@ from repro.serve.batcher import (
 from repro.serve.cache import CachedPlan, PlanCache
 from repro.serve.config import AutoscalerConfig, ServeConfig
 from repro.serve.fleet import FleetServer, ModelSpec
-from repro.serve.loadgen import (
-    FleetLoadReport,
-    LoadReport,
-    TenantLoad,
-    run_fleet_load,
-    run_load,
-    serial_baseline,
-)
+from repro.serve.loadgen import LoadReport, TenantLoad, run_load, serial_baseline
 from repro.serve.policy import (
     BatchPolicy,
     bucket_for,
@@ -98,7 +91,6 @@ __all__ = [
     "BatchPolicy",
     "CachedPlan",
     "DeadlineExceeded",
-    "FleetLoadReport",
     "FleetServer",
     "LoadReport",
     "MicroBatcher",
@@ -125,7 +117,6 @@ __all__ = [
     "plan_buckets",
     "predicted_batch_ms",
     "publish_plan",
-    "run_fleet_load",
     "run_load",
     "serial_baseline",
     "suggest_batch_policy",

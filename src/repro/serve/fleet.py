@@ -589,13 +589,6 @@ class FleetServer:
     def closed(self) -> bool:
         return self._closed
 
-    @property
-    def batches_executed(self) -> int:
-        """Batches completed so far, summed over models."""
-        with self._registry_lock:
-            units = list(self._units.values())
-        return sum(unit.batches_executed for unit in units)
-
     def stats(self) -> dict:
         """Fleet-wide totals at the top level, per-model detail below it.
 

@@ -211,12 +211,36 @@ class TestCommands:
         import json
         payload = json.loads(out.read_text())
         assert set(payload["models"]) == {"pareto-s", "pareto-m", "pareto-l"}
-        assert payload["fleet"]["served"] > 0
-        assert payload["fleet"]["errors"] == 0
-        assert payload["all_routes_fit_budget"] is True
-        assert payload["slo_attainment"] >= 0.5
+        serving = payload["serving"]
+        assert serving["served"] > 0
+        assert serving["errors"] == 0
+        assert serving["all_routes_fit_budget"] is True
+        assert serving["slo_attainment"] >= 0.5
         # Every tenant's traffic was routed somewhere on the ladder.
-        assert sum(payload["fleet"]["per_model"].values()) == payload["fleet"]["served"]
+        assert sum(serving["per_model"].values()) == serving["served"]
         resolved = payload["extra_info"]["serve_config"]
         assert resolved["admission"]["tenants"]["interactive"]["priority"] == 1
         assert resolved["autoscaler"]["max_replicas"] >= 1
+
+    def test_serve_bench_fleet_rate_drives_an_open_loop(self, tmp_path):
+        out = tmp_path / "serving_fleet_open.json"
+        code = main([
+            "serve-bench", "--fleet", "2", "--size", "24", "--duration", "0.5",
+            "--clients", "8", "--rate", "40", "--policy.max-batch-size", "4",
+            "--json", str(out),
+        ])
+        assert code == 0
+        import json
+        serving = json.loads(out.read_text())["serving"]
+        # ~20 requests at 40 img/s over 0.5 s; a closed loop serves hundreds.
+        assert 1 <= serving["served"] <= 40
+
+    @pytest.mark.parametrize("flag", [
+        ["--quantized"],
+        ["--target-p99-ms", "5"],
+        ["--autotune-cache", "tune.json"],
+        ["--autotune-json", "table.json"],
+        ["--policy.worker-mode", "process"],
+    ])
+    def test_serve_bench_fleet_rejects_single_model_flags(self, flag):
+        assert main(["serve-bench", "--fleet", "2", "--duration", "0.2", *flag]) == 2

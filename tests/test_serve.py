@@ -27,6 +27,7 @@ Covers the four contracts the serving tier rests on:
    already-loaded BLAS to one thread.
 """
 
+import concurrent.futures
 import ctypes
 import multiprocessing
 import os
@@ -44,15 +45,17 @@ from repro.deploy.plan import Arena
 from repro.graph.trace import trace_model
 from repro.nn import SearchableResNet18
 from repro.onnxlite.export import export_model
-from repro.parallel import ThreadPoolExecutorBackend, make_executor
+from repro.parallel import make_executor
 from repro.serve import (
     BatchPolicy,
+    CachedPlan,
     MicroBatcher,
     PlanCache,
     PlanServer,
     ServeConfig,
     ServeRequest,
     ServerOverloaded,
+    TenantLoad,
     WorkerPool,
     attach_plan,
     bucket_for,
@@ -419,8 +422,8 @@ class TestPlanServer:
             def one(i: int) -> np.ndarray:
                 return _row(server, images[i])
 
-            with make_executor("thread", workers=12) as pool:
-                outs = pool.map(one, list(range(48)))
+            with concurrent.futures.ThreadPoolExecutor(max_workers=12) as pool:
+                outs = list(pool.map(one, range(48)))
         outs = np.stack(outs)
         assert np.isfinite(outs).all()  # poisoned arenas stayed private
         np.testing.assert_allclose(outs, refs, rtol=RTOL, atol=ATOL)
@@ -452,7 +455,7 @@ class TestPlanServer:
         policy = BatchPolicy(max_batch_size=8, max_queue_delay_ms=2.0,
                              max_queue_depth=64, replicas=1)
         with PlanServer(plan, ServeConfig(policy=policy)) as server:
-            report = run_load(server, duration_s=0.4, clients=8, seed=1)
+            report = run_load(server, [TenantLoad(clients=8)], duration_s=0.4, seed=1)
         assert report.served > 0
         assert report.errors == 0
         assert report.throughput_ips > 0
@@ -468,10 +471,63 @@ class TestPlanServer:
         policy = BatchPolicy(max_batch_size=4, max_queue_delay_ms=2.0,
                              max_queue_depth=32, replicas=1)
         with PlanServer(plan, ServeConfig(policy=policy)) as server:
-            report = run_load(server, duration_s=0.5, clients=2,
-                              arrival_rate_ips=40.0, seed=2)
+            report = run_load(server, [TenantLoad(clients=2)], duration_s=0.5,
+                              seed=2, arrival_rate_ips=40.0)
         # ~20 images in 0.5s at 40 ips; generous bounds for slow CI.
         assert 1 <= report.served <= 40
+
+    def test_open_loop_awaits_every_accepted_request(self, plan):
+        # Offered far above capacity with batch-1 execution, so the queue
+        # is still full when the sending window closes.
+        policy = BatchPolicy(max_batch_size=1, max_queue_delay_ms=1.0,
+                             max_queue_depth=64, replicas=1)
+        with PlanServer(plan, ServeConfig(policy=policy)) as server:
+            report = run_load(server, [TenantLoad(clients=4)], duration_s=0.5,
+                              arrival_rate_ips=3000.0)
+            submitted = server.stats()["submitted"]
+        assert report.rejected > 0
+        assert report.served + report.expired + report.errors == submitted
+
+    def test_open_loop_counts_failed_batches_as_errors(self, plan, monkeypatch):
+        def broken(self, images):
+            raise RuntimeError("injected batch failure")
+
+        policy = BatchPolicy(max_batch_size=4, max_queue_delay_ms=2.0,
+                             max_queue_depth=64, replicas=1)
+        with PlanServer(plan, ServeConfig(policy=policy)) as server:
+            monkeypatch.setattr(CachedPlan, "run_padded", broken)
+            report = run_load(server, [TenantLoad(clients=2)], duration_s=0.3,
+                              arrival_rate_ips=100.0)
+            submitted = server.stats()["submitted"]
+        assert submitted > 0
+        assert report.served == 0
+        assert report.errors == submitted
+
+    def test_open_loop_times_requests_from_their_schedule(self, plan):
+        class StallFirstSubmit:
+            """The server, except that its first submit stalls 100 ms."""
+
+            def __init__(self, server):
+                self.server, self.stalled = server, False
+
+            def __getattr__(self, name):
+                return getattr(self.server, name)
+
+            def submit(self, request):
+                if not self.stalled:
+                    self.stalled = True
+                    time.sleep(0.1)
+                return self.server.submit(request)
+
+        policy = BatchPolicy(max_batch_size=8, max_queue_delay_ms=2.0,
+                             max_queue_depth=64, replicas=1)
+        with PlanServer(plan, ServeConfig(policy=policy)) as server:
+            report = run_load(StallFirstSubmit(server), [TenantLoad(clients=1)],
+                              duration_s=0.5, arrival_rate_ips=200.0)
+        # Requests due during the stall were sent late; each is charged
+        # the wait from when it was due.
+        assert report.lag_ms_max >= 90.0
+        assert report.latency_ms_p99 >= report.lag_ms_max
 
 
 # --------------------------------------------------------------------------
@@ -614,9 +670,8 @@ class TestProcessServer:
         images = _images(24, seed=42)
         refs = runtime.run(images)
         with PlanServer(plan, ServeConfig(policy=policy, cpus=2)) as server:
-            with make_executor("thread", workers=8) as pool:
-                outs = pool.map(lambda i: _row(server, images[i]),
-                                list(range(24)))
+            with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
+                outs = list(pool.map(lambda i: _row(server, images[i]), range(24)))
         outs = np.stack(outs)
         assert np.isfinite(outs).all()
         np.testing.assert_allclose(outs, refs, rtol=RTOL, atol=ATOL)
@@ -751,32 +806,15 @@ class TestArenaSmallestFit:
 
 
 # --------------------------------------------------------------------------
-# thread executor (satellite)
+# executor factory: serial and process backends only
 # --------------------------------------------------------------------------
 
 
 class TestThreadExecutor:
-    def test_ordered_map_and_reuse(self):
-        with make_executor("thread", workers=4) as pool:
-            assert isinstance(pool, ThreadPoolExecutorBackend)
-            assert pool.map(lambda v: v * v, [3, 1, 2]) == [9, 1, 4]
-            assert pool.map(len, []) == []
-            # Shared heap: closures over local state just work.
-            seen = []
-            pool.map(seen.append, [1, 2, 3])
-            assert sorted(seen) == [1, 2, 3]
-        with pytest.raises(RuntimeError, match="closed"):
-            pool.map(len, ["x"])
-
-    def test_map_resilient_captures_errors(self):
-        with make_executor("thread") as pool:
-            results = pool.map_resilient(lambda v: 1 // v, [1, 0])
-        assert results[0].ok and results[0].value == 1
-        assert not results[1].ok and results[1].error_type == "ZeroDivisionError"
-
     def test_factory_rejects_unknown_kind(self):
-        with pytest.raises(ValueError, match="thread"):
-            make_executor("fiber")
+        for kind in ("fiber", "thread"):
+            with pytest.raises(ValueError, match="unknown executor kind"):
+                make_executor(kind)
 
 
 # --------------------------------------------------------------------------

@@ -51,7 +51,7 @@ from repro.serve import (
     TenantOverloaded,
     TenantQuota,
     TokenBucket,
-    run_fleet_load,
+    run_load,
 )
 
 HW = 24  # deployment tile (fast, merged-GEMM regime)
@@ -308,7 +308,7 @@ class TestFleetRouting:
         assert pinned.model == "mid"
         # Fleet-wide totals sit at the top level, per-model detail below.
         assert stats["submitted"] == 3
-        assert stats["batches_executed"] == fleet.batches_executed == 3
+        assert stats["batches_executed"] == 3
         assert stats["worker_mode"] == "thread"
         assert {m: s["routed"] for m, s in stats["models"].items()} == {
             "small": 1, "mid": 2}
@@ -353,7 +353,7 @@ class TestFleetRouting:
             "interactive": TenantQuota(rate_per_s=4000, burst=256, priority=1),
             "analytics": TenantQuota(rate_per_s=4000, burst=256),
         })) as fleet:
-            report = run_fleet_load(
+            report = run_load(
                 fleet,
                 [
                     TenantLoad(name="interactive", clients=3, budget_ms=6.0,
@@ -371,6 +371,32 @@ class TestFleetRouting:
         assert report.per_model.get("mid", 0) > 0
         # ...and the wall-clock SLOs (sized generously) held.
         assert report.slo_attainment >= 0.95
+
+    def test_one_report_in_thread_process_and_fleet_modes(self, plan_s, plan_m):
+        policy = BatchPolicy(max_batch_size=4, max_queue_delay_ms=1.0,
+                             max_queue_depth=64)
+        process = policy.with_overrides(replicas=2, worker_mode="process")
+        runs = [
+            (lambda: PlanServer(plan_s, ServeConfig(policy=policy, warm=False)),
+             [TenantLoad(clients=4)]),
+            (lambda: PlanServer(plan_s, ServeConfig(policy=process, cpus=2, warm=False)),
+             [TenantLoad(clients=4)]),
+            (lambda: _two_model_fleet(plan_s, plan_m),
+             [TenantLoad(name="interactive", clients=2, budget_ms=4.0),
+              TenantLoad(name="analytics", clients=2, model="mid")]),
+        ]
+        payloads = []
+        for make_server, tenants in runs:
+            with make_server() as server:
+                report = run_load(server, tenants, duration_s=0.3)
+                submitted = server.stats()["submitted"]
+            assert report.served > 0
+            assert report.served + report.expired + report.errors == submitted
+            assert report.mean_batch_size > 0
+            assert set(report.per_tenant) == {t.name for t in tenants}
+            payloads.append(report.as_dict())
+        assert {frozenset(p) for p in payloads} == {frozenset(payloads[0])}
+        assert set(payloads[2]["per_model"]) == {"small", "mid"}
 
     def test_admitted_outputs_bitwise_identical_to_plan_server(self, plan_s, plan_m):
         # Same images through (a) the fleet with admission control active
