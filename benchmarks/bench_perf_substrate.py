@@ -16,7 +16,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.deploy import load_runtime
+from repro.deploy import load_runtime, native
 from repro.graph.trace import trace_model
 from repro.latency.predictors import predict_all_devices
 from repro.nas.config import ModelConfig
@@ -437,17 +437,16 @@ class TestServingThroughput:
 class TestQuantizedServing:
     """Quantized + autotuned compiled plan vs the fp32 default compilation.
 
-    Honest framing: NumPy exposes no int8 SIMD dot-product units, so the
-    *pure* int8 kernels (exact integer GEMM over an f32 carrier plus
-    quantize/requantize epilogues) measure **slower** than the fp32 BLAS
-    path on every layer of this model — the opposite of real edge
-    silicon, where int8 delivers 2-4x.  The deployable configuration is
-    therefore "quantized weights + per-layer autotuned kernels": the
-    autotuner keeps fp32/Winograd where int8 loses, so the quantized
-    artifact (4x smaller on disk) serves at >= fp32 throughput.  Both
-    ratios are asserted/recorded: the autotuned floor is enforced, the
-    pure-int8 ratio is published in the artifact so the NumPy-substrate
-    penalty is visible rather than hidden.
+    Which int8 kernels bind decides the outcome.  On an AVX-512 VNNI host
+    with a C compiler the native kernels (:mod:`repro.deploy.native`)
+    bind, int8 convs run 2-3x faster than fp32 BLAS, and the autotuner
+    picks int8 on most layers.  Elsewhere the NumPy int8 kernels (an
+    exact integer GEMM over a float32 carrier) bind; they lose to fp32 on
+    every layer, and the autotuner keeps fp32 or Winograd instead.  The
+    deployable configuration is "quantized weights + per-layer autotuned
+    kernels" in both cases.  The autotuned floor is asserted; the
+    pure-int8 ratio and the int8 implementation are published in the
+    artifact.
     """
 
     HW = 24
@@ -473,14 +472,15 @@ class TestQuantizedServing:
     def test_autotuned_quantized_serving_matches_fp32(self, benchmark, quantized_setup):
         """Autotuned quantized plan >= 0.9x fp32 serial throughput at the tile.
 
-        Tolerance rationale: the autotuner picks fp32 or Winograd
-        wherever int8 loses, so the tuned plan tracks the fp32 default
-        within measurement noise and typically beats it by ~5% through
-        the Winograd wins (locally 1.0-1.1x).  0.9x catches a real
-        regression — an autotuner that starts forcing slow kernels, or
-        an integer epilogue leaking into hot layers — while absorbing
-        CI scheduler noise.  Rounds are paired and interleaved, compared
-        by the median per-round ratio, per the repo convention.
+        Tolerance rationale: the autotuner measures every candidate and
+        keeps the fastest, so the tuned plan is never slower than fp32 by
+        more than timing noise.  With the native int8 kernels it is well
+        above 1x (locally 1.7-2.5x); with the NumPy int8 kernels it tracks
+        fp32, helped by the Winograd wins.  0.9x catches a real
+        regression — an autotuner that starts forcing slow kernels, or an
+        integer epilogue leaking into hot layers — while absorbing CI
+        scheduler noise.  Rounds are paired and interleaved, compared by
+        the median per-round ratio, per the repo convention.
         """
         from repro.serve import serial_baseline
 
@@ -516,6 +516,7 @@ class TestQuantizedServing:
 
         if not getattr(benchmark, "disabled", False):
             benchmark(tuned_plan.run, x)
+        benchmark.extra_info["int8_impl"] = native.implementation()
         benchmark.extra_info["tuned_vs_fp32_serial"] = round(tuned_ratio, 3)
         benchmark.extra_info["pure_int8_vs_fp32_serial"] = round(int8_ratio, 3)
         benchmark.extra_info["autotuned_layers"] = len(tune.variants)

@@ -10,14 +10,17 @@ closure against a throwaway arena, feeds synthetic inputs of the exact
 shape and carrier form the compiled plan would supply, times a few
 rounds, and keeps the fastest.
 
-Decisions are cached as JSON keyed by ``fingerprint:batch``
+Decisions are cached as JSON keyed by ``fingerprint:batch:int8``
 (:meth:`~repro.onnxlite.schema.ModelProto.fingerprint` covers weights,
-topology, *and* the calibration metadata), so a tuned model re-loads its
+topology, *and* the calibration metadata; ``int8`` is
+:func:`repro.deploy.native.implementation`, because the native and the
+NumPy int8 kernels time very differently), so a tuned model re-loads its
 variant map without re-benchmarking — and two processes sharing a cache
 file compile byte-identical plans, which is what makes autotuned serving
 deterministic across workers.  The full decision table (per-variant
-timings, not just the winners) is preserved for the benchmark artifact
-the CI serving scenario publishes next to ``BENCH_serving.json``.
+timings, not just the winners, and which int8 kernels were timed) is
+preserved for the benchmark artifact the CI serving scenario publishes
+next to ``BENCH_serving.json``.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.deploy import native
 from repro.deploy.passes import (
     PlanNode,
     build_plan_nodes,
@@ -60,8 +64,9 @@ class AutotuneResult:
 
     ``variants`` feeds straight into ``compile_plan(..., variants=...)``;
     ``table`` is the full decision record (chosen variant + per-variant
-    best timings in microseconds, per tuned layer) for reports and the
-    CI artifact.
+    best timings in microseconds, per tuned layer, and ``int8_impl`` —
+    ``"native"`` or ``"numpy"`` — on rows that timed an int8 kernel)
+    for reports and the CI artifact.
     """
 
     fingerprint: str
@@ -159,7 +164,8 @@ def autotune_variants(
         integer candidates; plain fp32 models tune im2col vs Winograd).
     batch:
         Batch size the decisions are specialized to — kernel crossovers
-        move with batch, so the cache key is ``fingerprint:batch``.
+        move with batch (and with the int8 implementation), so the cache
+        key is ``fingerprint:batch:int8``.
     rounds:
         Timed repetitions per candidate (best-of; one warmup extra).
     cache_path:
@@ -172,7 +178,8 @@ def autotune_variants(
     :func:`repro.deploy.plan.compile_plan`.
     """
     fingerprint = proto.fingerprint()
-    key = f"{fingerprint}:{int(batch)}"
+    int8_impl = native.implementation()
+    key = f"{fingerprint}:{int(batch)}:{int8_impl}"
     cache_file = Path(cache_path) if cache_path is not None else None
     if cache_file is not None and cache_file.exists():
         store = _read_cache(cache_file)
@@ -222,6 +229,8 @@ def autotune_variants(
             "chosen": chosen,
             "timings_us": {v: round(t * 1e6, 2) for v, t in timings.items()},
         }
+        if any(v.endswith(".int8") for v in timings):
+            table[node.name]["int8_impl"] = int8_impl
 
     result = AutotuneResult(
         fingerprint=fingerprint, batch=int(batch), variants=variants, table=table

@@ -2,7 +2,9 @@
 
 :func:`compile_plan` lowers a :class:`~repro.onnxlite.schema.ModelProto`
 through the pass pipeline of :mod:`repro.deploy.passes` and binds every
-fused operator to a concrete NumPy closure at compile time:
+fused operator to a concrete closure at compile time (NumPy, except that
+int8 Conv/Gemm/Add call the native VNNI kernels of
+:mod:`repro.deploy.native` wherever that library loads):
 
 - **no per-call dispatch** — each step is a closure with its weights,
   geometry, and GEMM matrices captured as locals (BatchNorm already
@@ -32,6 +34,7 @@ equivalence between the two (and :mod:`repro.nn`) is enforced by
 from __future__ import annotations
 
 import bisect
+import ctypes
 import math
 import threading
 import time
@@ -43,6 +46,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 import repro.obs as obs
 
+from repro.deploy import native
 from repro.deploy.passes import (
     PlanNode,
     build_plan_nodes,
@@ -432,6 +436,18 @@ def _quantized_codes_matrix(node: PlanNode) -> tuple[np.ndarray, np.ndarray, np.
     return mat, node.weights["w_scales"], node.weights["w_col_sums"]
 
 
+def _requant_operands(node: PlanNode, s_in: float, s_w: np.ndarray):
+    """``(m0, shift, bias_q)`` of a uint8-output Conv/Gemm, for both int8 kernels.
+
+    The per-channel Q31 multiplier of ``s_in * s_w / s_out`` and the bias
+    rounded to accumulator units (``None`` without a bias).
+    """
+    m0, shift = quantize_multipliers(s_in * s_w / node.qconfig["output"].scale)
+    bias = node.weights.get("bias")
+    bias_q = None if bias is None else np.round(bias.astype(np.float64) / (s_in * s_w))
+    return m0, shift, bias_q
+
+
 def _make_int_epilogue(node: PlanNode, s_in: float, s_w: np.ndarray, arena: Arena):
     """Epilogue closure for integer Conv/Gemm accumulators.
 
@@ -444,17 +460,15 @@ def _make_int_epilogue(node: PlanNode, s_in: float, s_w: np.ndarray, arena: Aren
     - float32 epilogue (``output`` is None): per-channel dequant scale
       ``s_in * s_w[c]`` plus the fp32 bias and ReLU.
 
-    The closure takes ownership of (and releases) ``acc``.
+    The closure takes ownership of (and releases) ``acc``.  The native
+    kernel's epilogue (:func:`_native_layer`) repeats this arithmetic.
     """
     q_out = node.qconfig["output"]
     bias = node.weights.get("bias")
     relu = node.relu
     if q_out is not None:
-        m0, shift = quantize_multipliers(s_in * s_w / q_out.scale)
+        m0, shift, bias_q = _requant_operands(node, s_in, s_w)
         zp_out = int(q_out.zero_point)
-        bias_q = None
-        if bias is not None:
-            bias_q = np.round(bias.astype(np.float64) / (s_in * s_w))
 
         def finish(acc: np.ndarray) -> np.ndarray:
             if bias_q is not None:
@@ -485,19 +499,79 @@ def _make_int_epilogue(node: PlanNode, s_in: float, s_w: np.ndarray, arena: Aren
     return finish
 
 
+def _native_layer(node: PlanNode, s_in: float, zp_in: int, k: int, n: int) -> native.Layer:
+    """The node's ``qn_layer`` (``k`` x ``n`` GEMM) for the native kernel.
+
+    The packed weight codes (:func:`repro.deploy.native.pack_weights`)
+    and the per-channel epilogue vectors are computed once and cached in
+    ``node.weights``, like ``weight_k``, so plan replicas and
+    shared-memory workers share them; no float32 code carrier is built.
+    The vectors hold the operands :func:`_make_int_epilogue` computes
+    with, zero-padded to the packed channel count:
+
+    - ``q_f64``: ``zp_in * col_sums``, then either the rounded bias in
+      accumulator units (uint8 output) or the dequantization scale
+      ``s_in * s_w`` (float32 output);
+    - ``q_i64`` (uint8 output): the Q31 mantissa, the round-half-up term
+      and the total right shift of :func:`~repro.deploy.qkernels.requantize`;
+    - ``q_bias`` (float32 output with a bias): the fp32 bias.
+    """
+    weights = node.weights
+    q_out = node.qconfig["output"]
+    if "w_packed" not in weights:
+        codes = gemm_matrix(node.qweight.data)
+        s_w = node.qweight.channel_scales()
+        weights["w_packed"] = native.pack_weights(codes)
+        width = 16 * weights["w_packed"].shape[0]
+
+        def padded(dtype, *rows):
+            block = np.zeros((len(rows), width), dtype)
+            for i, row in enumerate(rows):
+                block[i, : len(row)] = row
+            return block
+
+        zp_term = zp_in * codes.sum(axis=0, dtype=np.int64).astype(np.float64)
+        if q_out is not None:
+            m0, shift, bias_q = _requant_operands(node, s_in, s_w)
+            total = 31 + shift
+            weights["q_f64"] = padded(np.float64, zp_term,
+                                      np.zeros_like(s_w) if bias_q is None else bias_q)
+            weights["q_i64"] = padded(np.int64, m0, np.left_shift(1, total - 1), total)
+        else:
+            weights["q_f64"] = padded(np.float64, zp_term, s_in * s_w)
+            if "bias" in weights:
+                weights["q_bias"] = padded(np.float32, weights["bias"].astype(np.float32))[0]
+    packed, q_f64 = weights["w_packed"], weights["q_f64"]
+    q_i64, q_bias = weights.get("q_i64"), weights.get("q_bias")
+    m0, rnd, total = (None,) * 3 if q_i64 is None else (row.ctypes.data for row in q_i64)
+    zp_out = 0 if q_out is None else int(q_out.zero_point)
+    layer = native.Layer(
+        w=packed.ctypes.data, zp_term=q_f64[0].ctypes.data, f64=q_f64[1].ctypes.data,
+        bias=None if q_bias is None else q_bias.ctypes.data, m0=m0, rnd=rnd, total=total,
+        k=k, n=n, zp_out=zp_out, lo=zp_out if node.relu else 0,
+        out_kind=native.OUT_F32 if q_out is None else native.OUT_U8, relu=int(node.relu),
+    )
+    layer.arrays = (packed, q_f64, q_i64, q_bias)  # native code reads them via the layer
+    return layer
+
+
 def _bind_qconv(node: PlanNode, in_shape, out_shape, arena: Arena, in_form: str):
     """Bind a (fused) Conv to the true-int8 QLinearConv-style kernel.
 
     The activation side runs in the quantized domain end to end: uint8
     codes in (quantized on the fly when the producer is fp32), the same
     position-major im2col as the fp32 kernel over codes with the padding
-    filled at the input *zero point*, the exact chunked integer GEMM of
-    :mod:`repro.deploy.qkernels` (its ``(N·P, C_out)`` accumulator is
-    already channels-last), and either a requantized uint8 output (when
-    every consumer reads codes) or a float32 epilogue.  BatchNorm is
-    already folded into the integer weights by
-    :func:`repro.deploy.passes.fold_batch_norm`; fused ReLU rides the
-    epilogue.
+    filled at the input *zero point*, an exact integer GEMM, and either
+    a requantized uint8 output (when every consumer reads codes) or a
+    float32 epilogue.  BatchNorm is already folded into the integer
+    weights by :func:`repro.deploy.passes.fold_batch_norm`; fused ReLU
+    rides the epilogue.
+
+    The GEMM and its epilogue run natively (:mod:`repro.deploy.native`:
+    VNNI over uint8 columns, epilogue fused) when the library loaded,
+    and otherwise as the chunked float32-carrier GEMM of
+    :mod:`repro.deploy.qkernels` plus :func:`_make_int_epilogue`; both
+    produce the same bits.
     """
     c_in, h, w = in_shape
     c_out, oh, ow = out_shape
@@ -506,14 +580,11 @@ def _bind_qconv(node: PlanNode, in_shape, out_shape, arena: Arena, in_form: str)
     padding = int(node.attrs["padding"])
     q_in = node.qconfig["input"]
     s_in, zp_in = float(q_in.scale), int(q_in.zero_point)
-    w_mat, s_w, col_sums = _quantized_codes_matrix(node)
-    finish = _make_int_epilogue(node, s_in, s_w, arena)
-    zp_term = zp_in * col_sums  # float64 (C_out,), exact
     in_name = node.inputs[0]
     k_dim = kernel * kernel * c_in
 
-    def run(env: dict[str, np.ndarray]) -> np.ndarray:
-        x = env[in_name]
+    def columns(x: np.ndarray, dtype) -> np.ndarray:
+        """The ``(N, OH, OW, k, k, C)`` im2col of the input codes, as ``dtype``."""
         n = x.shape[0]
         if in_form == "u8":
             codes = x
@@ -530,11 +601,36 @@ def _bind_qconv(node: PlanNode, in_shape, out_shape, arena: Arena, in_form: str)
                 arena.release(codes)
         else:
             xp = codes
-        # im2col straight into integer-valued float32 (the cast fuses
-        # into the gather copy; K-panels then slice with no copy).
-        cols = _im2col_into(arena.acquire((n, oh, ow, kernel, kernel, c_in)), xp, kernel, stride)
+        cols = _im2col_into(arena.acquire((n, oh, ow, kernel, kernel, c_in), dtype),
+                            xp, kernel, stride)
         if padding or in_form != "u8":
             arena.release(xp)
+        return cols
+
+    lib = native.load()
+    if lib is not None:
+        layer = ctypes.byref(_native_layer(node, s_in, zp_in, k_dim, c_out))
+        out_dtype = np.float32 if node.qconfig["output"] is None else np.uint8
+
+        def run(env: dict[str, np.ndarray]) -> np.ndarray:
+            cols = columns(env[in_name], np.uint8)
+            n = cols.shape[0]
+            out = arena.acquire((n, oh, ow, c_out), out_dtype)
+            lib.qn_gemm(layer, cols.ctypes.data, n * oh * ow, out.ctypes.data)
+            arena.release(cols)
+            return out
+
+        return run
+
+    w_mat, s_w, col_sums = _quantized_codes_matrix(node)
+    finish = _make_int_epilogue(node, s_in, s_w, arena)
+    zp_term = zp_in * col_sums  # float64 (C_out,), exact
+
+    def run(env: dict[str, np.ndarray]) -> np.ndarray:
+        # im2col straight into integer-valued float32 (the cast fuses
+        # into the gather copy; K-panels then slice with no copy).
+        cols = columns(env[in_name], np.float32)
+        n = cols.shape[0]
         acc = arena.acquire((n, oh, ow, c_out), np.float64)
         part = arena.acquire((n, oh, ow, c_out))
         chunked_int_gemm(cols.reshape(-1, k_dim), w_mat,
@@ -553,10 +649,34 @@ def _bind_qgemm(node: PlanNode, in_shape, out_shape, arena: Arena, in_form: str)
     out_features = out_shape[0]
     q_in = node.qconfig["input"]
     s_in, zp_in = float(q_in.scale), int(q_in.zero_point)
+    in_name = node.inputs[0]
+
+    lib = native.load()
+    if lib is not None:
+        layer = ctypes.byref(_native_layer(node, s_in, zp_in, k_in, out_features))
+        out_dtype = np.float32 if node.qconfig["output"] is None else np.uint8
+
+        def run(env: dict[str, np.ndarray]) -> np.ndarray:
+            x = env[in_name]
+            n = x.shape[0]
+            if in_form == "u8":
+                codes = np.ascontiguousarray(x)
+            else:
+                codes = arena.acquire((n, k_in), np.uint8)
+                scratch = arena.acquire((n, k_in))
+                quantize_into(x, s_in, zp_in, codes, scratch)
+                arena.release(scratch)
+            out = arena.acquire((n, out_features), out_dtype)
+            lib.qn_gemm(layer, codes.ctypes.data, n, out.ctypes.data)
+            if in_form != "u8":
+                arena.release(codes)
+            return out
+
+        return run
+
     w_mat, s_w, col_sums = _quantized_codes_matrix(node)
     finish = _make_int_epilogue(node, s_in, s_w, arena)
     zp_term = zp_in * col_sums
-    in_name = node.inputs[0]
 
     def run(env: dict[str, np.ndarray]) -> np.ndarray:
         x = env[in_name]
@@ -586,8 +706,9 @@ def _bind_qadd(node: PlanNode, arena: Arena, inplace_name: str | None):
     With a quantized output the two operands are rescaled onto the
     output grid by independent fixed-point multipliers and summed in
     int64 (each term rounds once — a <= 1 ULP difference from the
-    fp32 reference, inside the certification tolerance).  With a float32
-    epilogue both operands dequantize and the add runs in fp32.
+    fp32 reference, inside the certification tolerance); the native
+    ``qn_add`` runs the same arithmetic when the library loaded.  With a
+    float32 epilogue both operands dequantize and the add runs in fp32.
     """
     q_a, q_b = node.qconfig["input"], node.qconfig["input_b"]
     q_out = node.qconfig["output"]
@@ -601,6 +722,21 @@ def _bind_qadd(node: PlanNode, arena: Arena, inplace_name: str | None):
         ta, tb = 31 + sha, 31 + shb
         zo = int(q_out.zero_point)
         lo = zo if relu else 0
+
+        lib = native.load()
+        if lib is not None:
+            params = (ctypes.c_int64 * 10)(
+                za, zb, m0a, m0b, 1 << (ta - 1), 1 << (tb - 1), ta, tb, zo, lo)
+
+            def run(env: dict[str, np.ndarray]) -> np.ndarray:
+                a, b = env[a_name], env[b_name]
+                out = env[inplace_name] if inplace_name is not None else arena.acquire(
+                    a.shape, np.uint8
+                )
+                lib.qn_add(a.ctypes.data, b.ctypes.data, out.ctypes.data, a.size, params)
+                return out
+
+            return run
 
         def run(env: dict[str, np.ndarray]) -> np.ndarray:
             a, b = env[a_name], env[b_name]

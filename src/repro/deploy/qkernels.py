@@ -1,5 +1,11 @@
 """Integer kernel primitives: exact int32 GEMM and fixed-point requantization.
 
+These are the NumPy int8 kernels: the only int8 path on hosts without a
+C compiler or AVX-512 VNNI, and the bitwise reference for the native
+kernels of :mod:`repro.deploy.native`, which bind instead wherever that
+library loads and compute the same outputs (``qnative.c`` repeats the
+arithmetic below in the same order).
+
 The int8 inference path follows the QLinearConv/QLinearGemm recipe every
 edge runtime (TFLite, ONNX Runtime, OpenVINO) implements:
 

@@ -7,15 +7,25 @@ its kernel grouping must match what the latency predictors price, and
 its static release schedule must never free a buffer that is still read
 (guarded by NaN-poisoning released arena slots in debug mode).  Each conv
 kernel (fp32 im2col, Winograd, int8) is forced in turn at batch 1, 3 and
-16, and the int8 conv's channels-last accumulator is checked against an
-int64 reference.
+16, the int8 conv's channels-last accumulator is checked against an
+int64 reference, and a plan on the native int8 kernels must give the
+NumPy int8 plan's output bits.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.deploy import Arena, OnnxliteRuntime, compile_plan, load_runtime, plan_weight_arrays
+from repro.deploy import (
+    Arena,
+    OnnxliteRuntime,
+    compile_plan,
+    load_runtime,
+    native,
+    plan_weight_arrays,
+)
 from repro.deploy.passes import PlanNode, build_plan_nodes, fuse_operators, toposort_nodes
 from repro.deploy.plan import _bind_qconv, channels_last
 from repro.deploy.winograd import WINOGRAD_VARIANT, winograd_eligible
@@ -173,6 +183,25 @@ class TestEquivalence:
             # The integer path is exact, so a row never depends on the
             # batch it ran in: each batch reproduces its rows of batch 16.
             np.testing.assert_array_equal(compiled, full[: len(x)])
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_native_int8_plan_matches_numpy_int8_plan(self, size):
+        """Every conv forced to int8: the native plan's outputs are the NumPy
+        int8 plan's, bit for bit, at every batch size (100 is the paper
+        winner's 100x100 patch)."""
+        if native.load() is None:
+            reason = f"native int8 kernels unavailable: {native.status()}"
+            print(reason)
+            pytest.skip(reason)
+        proto = proto_from_bytes(export_quantized_model(_model(), input_hw=(size, size)))
+        calibrate_activations(proto, _batches(size, seed=1)[-1])
+        forced = _conv_variants(proto, "conv.im2col.int8")
+        plan = compile_plan(proto, poison=True, variants=forced)
+        with mock.patch.object(native, "load", return_value=None):
+            reference = compile_plan(proto, poison=True, variants=forced)
+        assert plan.kernel_variants() == reference.kernel_variants()
+        for x in _batches(size):
+            np.testing.assert_array_equal(plan.run(x), reference.run(x))
 
     def test_int8_conv_accumulator_matches_int64_reference(self):
         """The channels-last int8 conv accumulates exactly.

@@ -40,12 +40,21 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.deploy import ConcurrentPlanError, load_runtime, plan_weight_arrays
+from repro.deploy import (
+    ConcurrentPlanError,
+    autotune_variants,
+    compile_plan,
+    load_runtime,
+    plan_weight_arrays,
+)
 from repro.deploy.plan import Arena
 from repro.graph.trace import trace_model
 from repro.nn import SearchableResNet18
 from repro.onnxlite.export import export_model
+from repro.onnxlite.reader import proto_from_bytes
 from repro.parallel import make_executor
+from repro.quant.calibrate import calibrate_activations
+from repro.quant.export import export_quantized_model
 from repro.serve import (
     BatchPolicy,
     CachedPlan,
@@ -659,6 +668,32 @@ class TestProcessServer:
         np.testing.assert_array_equal(proc_rows, thread_rows)
         assert stats["worker_mode"] == "process"
         assert stats["batches_executed"] >= len(images)
+        assert stats["shared_weight_bytes"] > 0
+        assert stats["worker_private_weight_bytes"] == 0
+        assert stats["worker_deaths"] == 0 and not stats["degraded"]
+
+    @pytest.mark.parametrize("tuned", [True, False], ids=["autotuned", "all-int8"])
+    def test_process_mode_shares_int8_weights(self, tuned):
+        """An int8 plan's integer weights (packed codes and epilogue
+        vectors, or the NumPy kernels' code matrices) ride the shared
+        segment: workers copy no weight bytes and serve the thread-mode
+        rows bit for bit.  The autotuned plan keeps int8 only where int8
+        measured faster; the default plan is int8 on every layer."""
+        proto = proto_from_bytes(export_quantized_model(_model(), input_hw=(HW, HW)))
+        calibrate_activations(proto, _images(12, seed=43))
+        variants = autotune_variants(proto, batch=4, rounds=1).variants if tuned else None
+        int8_plan = compile_plan(proto, variants=variants, poison=True)
+        assert tuned or all(v.endswith((".int8", ".u8"))
+                            for v in int8_plan.kernel_variants().values())
+        kw = dict(max_batch_size=4, max_queue_delay_ms=2.0, max_queue_depth=64, replicas=1)
+        images = _images(6, seed=44)
+        with PlanServer(int8_plan, ServeConfig(policy=BatchPolicy(**kw), cpus=2)) as server:
+            thread_rows = np.stack([_row(server, img) for img in images])
+        policy = BatchPolicy(**kw, worker_mode="process")
+        with PlanServer(int8_plan, ServeConfig(policy=policy, cpus=2)) as server:
+            proc_rows = np.stack([_row(server, img) for img in images])
+            stats = server.stats()
+        np.testing.assert_array_equal(proc_rows, thread_rows)
         assert stats["shared_weight_bytes"] > 0
         assert stats["worker_private_weight_bytes"] == 0
         assert stats["worker_deaths"] == 0 and not stats["degraded"]
