@@ -5,7 +5,9 @@ Subcommands
 ``space``
     Print the search-space structure and cardinality (Figure 2).
 ``sweep``
-    Run a NAS sweep (surrogate accuracy) and write trials to JSONL.
+    Run a NAS sweep (surrogate accuracy) and write trials to JSONL;
+    ``--nodes N`` runs it on N fabric worker nodes, ``--resume``
+    continues the sweep already in the file.
 ``pareto``
     Read a trial JSONL and print the non-dominated solutions (Table 4).
 ``baseline``
@@ -88,47 +90,50 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.nas import Experiment, FailureInjector, GridSearch, SurrogateEvaluator, TrialStore
     from repro.nas.searchspace import DEFAULT_SPACE
 
-    if args.resume and not (args.shards or args.nodes):
-        print("--resume requires the distributed path; add --shards/--nodes")
+    store = TrialStore(args.out)
+    if not args.resume and store.path.exists() and store.path.stat().st_size > 0:
+        # Appending a second run would record every trial twice.
+        print(f"{args.out} already holds trials: add --resume to continue "
+              "that sweep, or choose another --out")
         return 2
     if args.obs_log:
         obs.configure(jsonl_path=args.obs_log, reset_metrics=True)
     injector = FailureInjector.paper_mode(seed=args.seed) if args.paper_mode else FailureInjector.none()
     budget = args.budget or DEFAULT_SPACE.total_configurations()
     try:
-        if args.shards or args.nodes:
-            # Distributed path: --out is a *directory* of shard files.
-            from repro.nas.fabric import run_fabric_sweep
+        if args.resume:
+            store.load()
+        if args.nodes > 0:
+            from repro.nas.fabric import FabricSweep, WorkerNode
 
-            result = run_fabric_sweep(
+            sweep = FabricSweep(
                 SurrogateEvaluator(seed=args.seed),
                 GridSearch(DEFAULT_SPACE),
-                root=args.out,
-                budget=budget,
-                n_shards=max(args.shards, 1),
-                n_nodes=max(args.nodes, 1),
+                store,
                 resume=args.resume,
                 failure_injector=injector,
                 batch_size=args.batch_size,
                 lease_ttl_s=args.lease_ttl,
             )
-            print(f"launched={result.launched} valid={result.succeeded} "
-                  f"failed={result.failed} skipped={result.skipped}")
-            print(f"claims={result.claims} reclaims={result.reclaims} "
-                  f"steals={result.steals} poisoned={result.poisoned}")
-            print(f"shards written to {args.out}/")
+            for i in range(args.nodes):
+                sweep.add_node(WorkerNode(f"node-{i}"))
+            result = sweep.run(budget)
         else:
-            store = TrialStore(args.out)
-            experiment = Experiment(
+            result = Experiment(
                 evaluator=SurrogateEvaluator(seed=args.seed),
                 strategy=GridSearch(DEFAULT_SPACE),
                 store=store,
                 failure_injector=injector,
-            )
-            result = experiment.run(budget=budget)
-            print(f"launched={result.launched} valid={result.succeeded} failed={result.failed}")
-            print(f"trials written to {args.out}")
+                skip_existing=args.resume,
+            ).run(budget=budget)
+        print(f"launched={result.launched} valid={result.succeeded} "
+              f"failed={result.failed} skipped={result.skipped}")
+        if args.nodes > 0:
+            print(f"claims={result.claims} reclaims={result.reclaims} "
+                  f"poisoned={result.poisoned}")
+        print(f"trials written to {args.out}")
     finally:
+        store.close()
         if args.obs_log:
             obs.shutdown()
     if args.obs_log:
@@ -644,13 +649,11 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--seed", type=int, default=0)
     sweep.add_argument("--paper-mode", action="store_true", help="inject the 11 paper failures")
     sweep.add_argument("--obs-log", default="", help="also write an observability JSONL log here")
-    sweep.add_argument("--shards", type=int, default=0,
-                       help="distributed: shard the store N ways (--out becomes a directory)")
     sweep.add_argument("--nodes", type=int, default=0,
-                       help="distributed: run N worker nodes over the lease table")
+                       help="distributed: run N worker nodes over the lease table "
+                            "(0 = serial)")
     sweep.add_argument("--resume", action="store_true",
-                       help="distributed: load the sharded store, verify its manifest, "
-                            "skip completed trials")
+                       help="load --out, verify its manifest, skip completed trials")
     sweep.add_argument("--batch-size", type=int, default=1,
                        help="distributed: trials per lease claim")
     sweep.add_argument("--lease-ttl", type=float, default=30.0,

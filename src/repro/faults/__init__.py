@@ -2,15 +2,17 @@
 
 Generalizes :mod:`repro.nas.failures` (the paper's 11-of-1,728 preset)
 into a full chaos harness: typed exceptions, latency spikes, per-trial
-hangs (for deadline tests), once-only kill latches, node faults and
-store-line corruption, all driven by a seeded schedule so every chaos
-test is exactly repeatable.
+hangs (for deadline tests), once-only kill latches, node kills and
+heartbeat losses, and store-tail corruption, all driven by a seeded
+schedule so every chaos test is exactly repeatable.
 
 The harness *proves* the fault-tolerance layer: `tests/test_chaos_resume.py`
 injects transients, a worker kill (through
 :class:`~repro.nas.fabric.NodeEvaluator`) and a truncated store tail into
-one sweep and asserts the recovered, resumed results are bitwise-equal
-to a fault-free serial run.
+one serial sweep, and `tests/test_fabric.py` adds node kills, a
+heartbeat-loss window and a Ctrl-C to a fabric sweep over the same kind
+of store.  Both assert the resumed results are bitwise-equal to a
+fault-free serial run.
 """
 
 from repro.faults.harness import (
@@ -22,7 +24,6 @@ from repro.faults.harness import (
     NodeFault,
     NodeFaultKind,
     NodeFaultPlan,
-    corrupt_shard_tail,
     corrupt_store_tail,
     interrupt_after,
 )
@@ -36,7 +37,6 @@ __all__ = [
     "NodeFault",
     "NodeFaultKind",
     "NodeFaultPlan",
-    "corrupt_shard_tail",
     "corrupt_store_tail",
     "interrupt_after",
 ]

@@ -47,7 +47,6 @@ __all__ = [
     "NodeFault",
     "NodeFaultKind",
     "NodeFaultPlan",
-    "corrupt_shard_tail",
     "corrupt_store_tail",
     "interrupt_after",
 ]
@@ -167,10 +166,6 @@ class FaultPlan:
         return cls(faults, seed=seed)
 
     # -- schedule queries ----------------------------------------------------
-
-    def faults_for(self, trial_id: int) -> list[Fault]:
-        """Scheduled faults of one trial (possibly empty)."""
-        return list(self._by_trial.get(trial_id, ()))
 
     def trials_with(self, kind: FaultKind) -> list[int]:
         """Sorted trial ids carrying a fault of ``kind``."""
@@ -299,7 +294,6 @@ class NodeFaultKind(str, enum.Enum):
 
     NODE_KILL = "node_kill"  # the node dies mid-lease (stops heartbeating)
     HEARTBEAT_LOSS = "heartbeat_loss"  # node keeps working, heartbeats vanish
-    SHARD_CORRUPT = "shard_corrupt"  # marker: corrupt a shard tail between legs
 
 
 @dataclass(frozen=True)
@@ -335,11 +329,8 @@ class NodeFaultPlan:
     Each fault fires **once**, latched either in memory or — with a
     ``latch_dir`` — through crash-safe :class:`KillSwitch` files that
     survive a resume, so the second leg of a chaos round-trip is not
-    re-killed.
-
-    :attr:`~NodeFaultKind.SHARD_CORRUPT` entries are inert here (there
-    is no safe moment to corrupt a live shard from inside the sweep);
-    apply them between legs with :func:`corrupt_shard_tail`.
+    re-killed.  A torn store between legs is :func:`corrupt_store_tail`'s
+    job.
     """
 
     def __init__(
@@ -363,10 +354,6 @@ class NodeFaultPlan:
             return False
         self._fired.add(key)
         return True
-
-    def faults_for(self, node_id: str) -> list[NodeFault]:
-        """Scheduled faults of one node (possibly empty)."""
-        return [f for f in self.faults if f.node_id == node_id]
 
     def before_trial(self, node_id: str, trials_run: int) -> None:
         """Fire armed faults for a node about to start its next trial.
@@ -473,39 +460,6 @@ def corrupt_store_tail(
                          "use 'truncate', 'garbage' or 'partial-append'")
     path.write_bytes(body)
     return {"mode": mode, "line": len(lines), "removed_bytes": int(removed)}
-
-
-def corrupt_shard_tail(
-    root: str | Path,
-    mode: str = "truncate",
-    seed: int = 0,
-    shard: int | str | None = None,
-) -> dict[str, object]:
-    """Corrupt one shard tail of a sharded trial store directory.
-
-    ``shard`` selects the victim: a file name, an index into the sorted
-    non-empty shard list, or ``None`` for a seeded deterministic pick.
-    Delegates the actual damage to :func:`corrupt_store_tail`; the
-    returned dict additionally carries the victim's ``shard`` file name,
-    so a chaos test can later assert that exactly this shard was
-    quarantined by :meth:`~repro.nas.fabric.ShardedTrialStore.load`.
-    """
-    root = Path(root)
-    shards = sorted(
-        p for p in root.glob("shard-*-of-*.jsonl") if p.stat().st_size > 0
-    )
-    if not shards:
-        raise ValueError(f"no non-empty shard files under {root}")
-    if shard is None:
-        rng = rng_from_seed(stable_hash("corrupt-shard", seed, len(shards)))
-        path = shards[int(rng.integers(0, len(shards)))]
-    elif isinstance(shard, str):
-        path = root / shard
-    else:
-        path = shards[shard]
-    info = corrupt_store_tail(path, mode=mode, seed=seed)
-    info["shard"] = path.name
-    return info
 
 
 def interrupt_after(

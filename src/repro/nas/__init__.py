@@ -20,9 +20,10 @@ This subpackage reproduces that machinery:
 - :mod:`~repro.nas.storage` — JSONL-backed trial database with
   crash-safe reload (tail quarantine) and a resume-verified run
   manifest;
-- :mod:`~repro.nas.fabric` — the distributed sweep fabric: hash-sharded
-  stores, lease-based work stealing across worker nodes, and
-  chaos-certified resume (bitwise-equal to a serial run).
+- :mod:`~repro.nas.fabric` — the distributed sweep fabric: worker nodes
+  claiming leased trials from one queue and committing into the same
+  trial store a serial run writes, with chaos-certified resume
+  (bitwise-equal to a serial run).
 
 The deterministic chaos harness that exercises this stack lives in
 :mod:`repro.faults`.
@@ -57,14 +58,7 @@ from repro.nas.retry import (
 from repro.nas.storage import ResumeMismatchError, RunManifest, StoreCorruptionError, TrialStore
 from repro.nas.failures import FailureInjector
 from repro.nas.crossval import cross_validate_model, TrainSettings
-from repro.nas.fabric import (
-    FabricResult,
-    FabricSweep,
-    LeaseTable,
-    ShardedTrialStore,
-    WorkerNode,
-    run_fabric_sweep,
-)
+from repro.nas.fabric import FabricResult, FabricSweep, LeaseTable, WorkerNode
 
 __all__ = [
     "ModelConfig",
@@ -113,7 +107,5 @@ __all__ = [
     "FabricResult",
     "FabricSweep",
     "LeaseTable",
-    "ShardedTrialStore",
     "WorkerNode",
-    "run_fabric_sweep",
 ]

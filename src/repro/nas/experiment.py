@@ -378,6 +378,33 @@ class Experiment:
             evaluator=type(self.evaluator).__name__,
         )
 
+    def check_manifest(self) -> None:
+        """The resume gate, shared with :class:`~repro.nas.fabric.FabricSweep`.
+
+        Refuses to skip trials recorded under different sweep settings
+        (:class:`~repro.nas.storage.ResumeMismatchError`); a first run
+        writes the manifest for later resumes.  Verification is strict
+        only when resuming, and in-memory stores have no manifest.
+        """
+        if self.store.path is None:
+            return
+        manifest = self.run_manifest()
+        if self.skip_existing:
+            self.store.verify_or_write_manifest(manifest)
+        elif self.store.read_manifest() is None:
+            self.store.write_manifest(manifest)
+
+    def skip_recorded(self, config: ModelConfig) -> bool:
+        """Whether a resumed sweep skips ``config`` because the store holds it.
+
+        A skipped successful record is still shown to the strategy, so an
+        adaptive search resumes from the state it would have reached.
+        """
+        existing = self.store.find(config) if self.skip_existing else None
+        if existing is not None and existing.ok:
+            self.strategy.observe_record(config, existing)
+        return existing is not None
+
     def run(self, budget: int) -> ExperimentResult:
         """Propose-and-evaluate up to ``budget`` trials."""
         if budget < 1:
@@ -392,27 +419,15 @@ class Experiment:
         listener = obs.ProgressFanout(
             [obs.as_listener(self.progress), obs.ObsProgressListener()]
         )
-        if self.store.path is not None:
-            # Resume gate: refuse to skip trials recorded under different
-            # sweep settings; first runs write the manifest for later
-            # resumes.  (Verification is strict only when resuming.)
-            manifest = self.run_manifest()
-            if self.skip_existing:
-                self.store.verify_or_write_manifest(manifest)
-            elif self.store.read_manifest() is None:
-                self.store.write_manifest(manifest)
+        self.check_manifest()
         started = time.perf_counter()
         launched = succeeded = failed = 0
         skipped = retried = total_retries = deadline_exceeded = 0
         proposals: Iterable[ModelConfig] = self.strategy.propose(budget)
         for trial_id, config in enumerate(proposals):
-            if self.skip_existing:
-                existing = self.store.find(config)
-                if existing is not None:
-                    skipped += 1
-                    if existing.ok:
-                        self.strategy.observe_record(config, existing)
-                    continue
+            if self.skip_recorded(config):
+                skipped += 1
+                continue
             listener.on_trial_start(trial_id, config)
             record = self.run_trial(trial_id, config)
             self.store.add(record)

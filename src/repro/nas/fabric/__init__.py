@@ -1,20 +1,19 @@
-"""The distributed sweep fabric: sharded storage + lease-based workers.
+"""The distributed sweep fabric: lease-based worker nodes over one store.
 
 Scales one NAS sweep across worker "nodes" (threads, each optionally
 owning a private process pool) while keeping the results bitwise-equal
 to a serial run — the property the chaos certification in
 ``tests/test_fabric.py`` proves under node kills, heartbeat loss,
-SIGKILLed pool workers, corrupted shard tails and a Ctrl-C resume.
+SIGKILLed pool workers, a truncated store tail and a Ctrl-C resume.
 
-Three layers:
+The fabric writes the same :class:`~repro.nas.storage.TrialStore` file
+a serial :class:`~repro.nas.experiment.Experiment` writes, so either
+one can resume it and ``repro-nas pareto`` reads it.  Two layers:
 
-- :mod:`~repro.nas.fabric.store` — :class:`ShardedTrialStore`: N
-  crash-safe JSONL shards, pure fingerprint routing, a deterministic
-  merged view independent of shard count, background tail compaction.
-- :mod:`~repro.nas.fabric.lease` — :class:`LeaseTable`: monotonic-clock
-  work leases with heartbeats, deadline reclaim, work stealing
-  (:func:`repro.parallel.pick_steal_victim`) and poison-trial
-  quarantine, classified through the :mod:`repro.nas.retry` taxonomy.
+- :mod:`~repro.nas.fabric.lease` — :class:`LeaseTable`: one FIFO queue
+  of trials handed out as monotonic-clock leases with heartbeats,
+  deadline reclaim and poison-trial quarantine, classified through the
+  :mod:`repro.nas.retry` taxonomy.
 - :mod:`~repro.nas.fabric.coordinator` — :class:`FabricSweep`: the
   claim/run/submit/heartbeat node loop, single-writer exactly-once
   commits, elastic membership and the self-execute fallback.
@@ -25,15 +24,8 @@ from repro.nas.fabric.coordinator import (
     FabricSweep,
     NodeEvaluator,
     WorkerNode,
-    run_fabric_sweep,
 )
 from repro.nas.fabric.lease import Lease, LeaseTable, TrialTask
-from repro.nas.fabric.store import (
-    ShardedTrialStore,
-    record_fingerprint,
-    shard_filename,
-    shard_index,
-)
 
 __all__ = [
     "FabricResult",
@@ -41,11 +33,6 @@ __all__ = [
     "Lease",
     "LeaseTable",
     "NodeEvaluator",
-    "ShardedTrialStore",
     "TrialTask",
     "WorkerNode",
-    "record_fingerprint",
-    "run_fabric_sweep",
-    "shard_filename",
-    "shard_index",
 ]

@@ -7,9 +7,10 @@ thread each, optionally owning a private process pool — a "process
 group") claim trial batches from the :class:`~repro.nas.fabric.LeaseTable`
 and run them through a sibling :class:`~repro.nas.experiment.Experiment`.
 Results are *submitted*, never written: the coordinator's main loop is
-the only writer.  It drains the commit queue, deduplicates against the
-sharded store (a reclaimed trial may be executed twice; it is committed
-once), appends, and marks the trial done.  Trial records are pure
+the only writer of the one :class:`~repro.nas.storage.TrialStore` file
+a serial sweep would write.  It drains the commit queue, deduplicates
+against the store (a reclaimed trial may be executed twice; it is
+committed once), appends, and marks the trial done.  Trial records are pure
 functions of ``(trial_id, config)`` — the latency jitter is keyed by the
 config, the surrogate is seeded — so a duplicated execution produces a
 byte-identical record and deduplication loses nothing.
@@ -18,8 +19,8 @@ Liveness is lease-based: a node that dies (``NodeKilledError``, a
 SIGKILLed pool worker under ``on_worker_loss="die"``, a hardware fault)
 simply stops heartbeating; the coordinator reclaims its lease after the
 TTL and the trials are re-leased to a surviving node.  When *every* node
-is gone the coordinator itself finishes the remaining work inline
-(``self_execute``), so a sweep always terminates.
+is gone the coordinator itself finishes the remaining work inline, so a
+sweep always terminates.
 
 Because commits — and therefore progress callbacks — happen in the
 coordinator's thread, a ``KeyboardInterrupt`` raised by a progress hook
@@ -29,7 +30,11 @@ trials are durable, the in-flight ones are lost and re-run on resume.
 
 Elasticity: :meth:`FabricSweep.add_node` may be called mid-run (e.g.
 from a progress hook); the node is attached and started immediately and
-starts claiming from the queues like any founding member.
+starts claiming from the queue like any founding member.
+
+Resume follows :class:`~repro.nas.experiment.Experiment`'s contract:
+the caller loads the store, and ``resume=True`` verifies its run
+manifest and skips the configurations it already holds.
 """
 
 from __future__ import annotations
@@ -44,7 +49,6 @@ from typing import TYPE_CHECKING, Callable
 import repro.obs as obs
 from repro.nas.experiment import Experiment
 from repro.nas.fabric.lease import Lease, LeaseTable, TrialTask
-from repro.nas.fabric.store import ShardedTrialStore
 from repro.nas.retry import (
     ErrorKind,
     NodeKilledError,
@@ -68,7 +72,6 @@ __all__ = [
     "WorkerNode",
     "FabricSweep",
     "FabricResult",
-    "run_fabric_sweep",
 ]
 
 _LOG = get_logger("nas.fabric.coordinator")
@@ -190,30 +193,22 @@ class WorkerNode:
         Optional :class:`~repro.parallel.Executor`; when given, every
         evaluation routes through it via :class:`NodeEvaluator`.  The
         node closes an executor it was handed when it shuts down.
-    evaluator:
-        Override for the sweep's shared evaluator (rare; tests).
     kill_config_ids / latch_dir / on_worker_loss:
         Worker-kill chaos knobs, forwarded to :class:`NodeEvaluator`
         (require ``executor``).
     fault_plan:
         Optional :class:`~repro.faults.NodeFaultPlan` consulted before
         each trial (node kills) and after (heartbeat loss / stalls).
-    home_queue:
-        Preferred pending queue; defaults to the node's join order
-        modulo the queue count.  An empty home queue makes the node
-        steal from the longest queue.
     """
 
     def __init__(
         self,
         node_id: str,
         executor: "Executor | None" = None,
-        evaluator: "AccuracyEvaluator | None" = None,
         kill_config_ids: "tuple | frozenset" = (),
         latch_dir: str | Path | None = None,
         on_worker_loss: str = "retry",
         fault_plan: object | None = None,
-        home_queue: int | None = None,
         poll_s: float = 0.002,
     ) -> None:
         if kill_config_ids and executor is None:
@@ -221,9 +216,7 @@ class WorkerNode:
         self.node_id = node_id
         self.executor = executor
         self.fault_plan = fault_plan
-        self.home_queue = home_queue
         self.poll_s = poll_s
-        self._evaluator_override = evaluator
         self._kill_config_ids = kill_config_ids
         self._latch_dir = latch_dir
         self._on_worker_loss = on_worker_loss
@@ -243,7 +236,7 @@ class WorkerNode:
     def attach(self, sweep: "FabricSweep") -> None:
         """Bind to a sweep: build this node's evaluator and experiment."""
         self._sweep = sweep
-        inner = self._evaluator_override or sweep.evaluator
+        inner = sweep.evaluator
         if self.executor is not None:
             inner = NodeEvaluator(
                 inner,
@@ -252,7 +245,6 @@ class WorkerNode:
                 latch_dir=self._latch_dir,
                 on_worker_loss=self._on_worker_loss,
             )
-        self.node_evaluator = inner
         self._experiment = sweep.template.with_evaluator(inner)
 
     def start(self) -> None:
@@ -280,7 +272,7 @@ class WorkerNode:
         assert sweep is not None and sweep.table is not None
         try:
             while not self._stop.is_set() and sweep.accepting:
-                lease = sweep.table.claim(self.node_id, home=self.home_queue)
+                lease = sweep.table.claim(self.node_id)
                 if lease is None:
                     if sweep.table.finished:
                         break
@@ -336,7 +328,7 @@ class WorkerNode:
 class FabricResult:
     """Outcome of a distributed fabric sweep."""
 
-    store: ShardedTrialStore
+    store: TrialStore
     launched: int
     succeeded: int
     failed: int
@@ -347,7 +339,6 @@ class FabricResult:
     self_executed: int = 0  # trials the coordinator ran after losing all nodes
     claims: int = 0
     reclaims: int = 0
-    steals: int = 0
     node_trials: dict[str, int] = field(default_factory=dict)
     node_deaths: dict[str, str] = field(default_factory=dict)
 
@@ -358,7 +349,7 @@ class FabricResult:
 
 
 class FabricSweep:
-    """Coordinates worker nodes over a sharded store and a lease table.
+    """Coordinates worker nodes over one trial store and a lease table.
 
     Single-sweep, single-use: construct, :meth:`add_node` some workers,
     :meth:`run`.  See the module docstring for the execution model; see
@@ -372,28 +363,25 @@ class FabricSweep:
     latency_jitter / jitter_seed / retry_policy:
         Exactly as :class:`~repro.nas.experiment.Experiment`.
     store:
-        The sharded trial store (the coordinator is its only writer).
+        The trial store (the coordinator is its only writer).
     batch_size / lease_ttl_s / max_leases:
         Lease-table knobs (:class:`~repro.nas.fabric.LeaseTable`).
     resume:
-        Load the store first, verify its run manifest against this
-        sweep's (:class:`~repro.nas.storage.ResumeMismatchError` on a
-        mismatch) and skip already-recorded configurations.
+        Exactly as ``Experiment(skip_existing=True)``: verify the run
+        manifest of the store the caller loaded
+        (:class:`~repro.nas.storage.ResumeMismatchError` on a mismatch)
+        and skip the configurations it holds.
     progress:
         Progress consumer (listener or legacy callable), invoked in the
         coordinator thread at commit time — a raised
         ``KeyboardInterrupt`` stops the sweep like Ctrl-C.
-    self_execute:
-        Whether the coordinator finishes remaining work inline once
-        every node is dead (default on; disabling raises
-        :class:`~repro.nas.retry.WorkerLostError` instead of hanging).
     """
 
     def __init__(
         self,
         evaluator: "AccuracyEvaluator",
         strategy: SearchStrategy,
-        store: ShardedTrialStore,
+        store: TrialStore,
         batch_size: int = 1,
         lease_ttl_s: float = 5.0,
         max_leases: int = 5,
@@ -405,7 +393,6 @@ class FabricSweep:
         jitter_seed: int = 0,
         resume: bool = False,
         progress: "Callable[[int, int, TrialRecord], None] | obs.ProgressListener | None" = None,
-        self_execute: bool = True,
         poll_s: float = 0.002,
     ) -> None:
         self.evaluator = evaluator
@@ -413,16 +400,16 @@ class FabricSweep:
         self.batch_size = batch_size
         self.lease_ttl_s = lease_ttl_s
         self.max_leases = max_leases
-        self.resume = resume
         self.progress = progress
-        self.self_execute = self_execute
         self.poll_s = poll_s
         #: The reference experiment nodes derive theirs from (shared
-        #: architecture-metrics cache; also the self-execute runner).
+        #: architecture-metrics cache; also the self-execute runner and
+        #: the resume gate over ``store``).
         self.template = Experiment(
             evaluator,
             strategy,
-            store=TrialStore(),
+            store=store,
+            skip_existing=resume,
             failure_injector=failure_injector,
             input_hw=input_hw,
             profiles=profiles,
@@ -449,8 +436,6 @@ class FabricSweep:
 
     def add_node(self, node: WorkerNode) -> WorkerNode:
         """Attach (and, mid-run, immediately start) a worker node."""
-        if node.home_queue is None:
-            node.home_queue = len(self._nodes) % max(self.store.n_shards, 1)
         node.attach(self)
         self._nodes.append(node)
         if self._running:
@@ -477,34 +462,18 @@ class FabricSweep:
         """Run the sweep to completion (or first fatal error)."""
         if budget < 1:
             raise ValueError(f"budget must be >= 1, got {budget}")
-        with obs.span(
-            "fabric.run",
-            budget=budget,
-            nodes=len(self._nodes),
-            shards=self.store.n_shards,
-        ):
+        with obs.span("fabric.run", budget=budget, nodes=len(self._nodes)):
             return self._run_inner(budget)
 
     def _plan_tasks(self, budget: int) -> tuple[list[TrialTask], int]:
-        manifest = self.template.run_manifest()
-        if self.resume:
-            self.store.load(strict=False, compact="background")
-            self.store.verify_or_write_manifest(manifest)
-        elif self.store.read_manifest() is None:
-            self.store.write_manifest(manifest)
+        self.template.check_manifest()
         tasks: list[TrialTask] = []
         skipped = 0
         for trial_id, config in self.template.propose_trials(budget):
-            if self.resume:
-                existing = self.store.find(config)
-                if existing is not None:
-                    skipped += 1
-                    if existing.ok:
-                        self.template.strategy.observe_record(config, existing)
-                    continue
-            tasks.append(
-                TrialTask(trial_id, config, shard=self.store.shard_for(config))
-            )
+            if self.template.skip_recorded(config):
+                skipped += 1
+            else:
+                tasks.append(TrialTask(trial_id, config))
         return tasks, skipped
 
     def _run_inner(self, budget: int) -> FabricResult:
@@ -518,7 +487,6 @@ class FabricSweep:
         self._total = len(tasks)
         self.table = LeaseTable(
             tasks,
-            n_queues=max(self.store.n_shards, 1),
             batch_size=self.batch_size,
             ttl_s=self.lease_ttl_s,
             max_leases=self.max_leases,
@@ -563,7 +531,6 @@ class FabricSweep:
             self_executed=self._self_executed,
             claims=stats.claims,
             reclaims=stats.reclaims,
-            steals=stats.steals,
             node_trials={n.node_id: n.trials_run for n in self._nodes},
             node_deaths={
                 n.node_id: n.death_reason for n in self._nodes if n.death_reason
@@ -661,40 +628,3 @@ class FabricSweep:
             self.submit(lease, task, record)
             self.table.heartbeat(lease.lease_id)
 
-
-def run_fabric_sweep(
-    evaluator: "AccuracyEvaluator",
-    strategy: SearchStrategy,
-    root: str | Path,
-    budget: int,
-    n_shards: int = 4,
-    n_nodes: int = 2,
-    node_workers: int | None = None,
-    durability: str = "flush",
-    resume: bool = False,
-    **sweep_kwargs: object,
-) -> FabricResult:
-    """Convenience driver: build a store + N nodes, run, close everything.
-
-    ``node_workers`` gives every node a private process pool of that
-    size (a true process group); ``None`` evaluates in the node threads
-    — right for the surrogate evaluator, whose cost is dwarfed by
-    pickling.  Remaining keyword arguments go to :class:`FabricSweep`.
-    """
-    if n_nodes < 0:
-        raise ValueError(f"n_nodes must be >= 0, got {n_nodes}")
-    store = ShardedTrialStore(root, n_shards=n_shards, durability=durability)
-    sweep = FabricSweep(
-        evaluator, strategy, store, resume=resume, **sweep_kwargs
-    )
-    for i in range(n_nodes):
-        executor = None
-        if node_workers is not None:
-            from repro.parallel.executor import ProcessPoolExecutorBackend
-
-            executor = ProcessPoolExecutorBackend(workers=node_workers)
-        sweep.add_node(WorkerNode(f"node-{i}", executor=executor))
-    try:
-        return sweep.run(budget)
-    finally:
-        store.close()

@@ -1,12 +1,12 @@
-"""Lease-based work claims with deadline reclaim and work stealing.
+"""Lease-based work claims with deadline reclaim and poison quarantine.
 
 The coordinator's source of truth for *who is running what*.  Work is
 handed out as **leases**: a worker claims a batch of trials together
 with a monotonic-clock deadline; liveness is proven by heartbeats that
 push the deadline forward.  A worker that dies (or loses its network,
 or stalls past the TTL) simply stops heartbeating — its lease expires
-and the **reclaim loop** returns the unfinished trials to the pending
-queues for another worker to pick up.
+and the **reclaim loop** returns the unfinished trials to the front of
+the pending queue for another worker to pick up.
 
 Failure handling rides the :mod:`repro.nas.retry` taxonomy:
 
@@ -14,14 +14,12 @@ Failure handling rides the :mod:`repro.nas.retry` taxonomy:
   *transient* by classification, so the trials are re-leased;
 - a trial that keeps losing its workers (``lease_count`` reaching
   ``max_leases``) is presumed **poison** — it is quarantined out of the
-  queues (and recorded as a failed trial by the coordinator) instead of
+  queue (and recorded as a failed trial by the coordinator) instead of
   killing workers forever;
 - fatal/permanent release reasons poison the batch immediately.
 
-Pending work is organized as one queue per shard and claims prefer the
-worker's *home* queue (keeping a node's appends mostly shard-local); an
-idle worker whose home queue drained **steals** from the longest queue
-(:func:`repro.parallel.pick_steal_victim`).
+Pending work is one FIFO queue in proposal order: every claim takes the
+next ``batch_size`` trials, whichever worker asks.
 
 Everything here is wall-clock free: deadlines and heartbeat ages are
 computed with ``time.monotonic()`` (injectable for tests), so an NTP
@@ -34,12 +32,11 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable
 
 import repro.obs as obs
 from repro.nas.retry import ErrorKind, WorkerLostError, classify_error
-from repro.parallel.scheduler import pick_steal_victim
 from repro.utils.logging import get_logger
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -53,7 +50,6 @@ _LOG = get_logger("nas.fabric.lease")
 _CLAIMS = obs.counter("repro_nas_lease_claims_total")
 _HEARTBEATS = obs.counter("repro_nas_lease_heartbeats_total")
 _RECLAIMS = obs.counter("repro_nas_lease_reclaims_total")
-_STEALS = obs.counter("repro_nas_work_steals_total")
 _POISONED = obs.counter("repro_nas_poison_trials_total")
 _PENDING = obs.gauge("repro_nas_fabric_pending_trials")
 _ACTIVE = obs.gauge("repro_nas_fabric_active_leases")
@@ -61,11 +57,10 @@ _ACTIVE = obs.gauge("repro_nas_fabric_active_leases")
 
 @dataclass
 class TrialTask:
-    """One unit of leased work: a trial to run and where its record goes."""
+    """One unit of leased work: a trial to run."""
 
     trial_id: int
     config: "ModelConfig"
-    shard: int
     #: Times this task has been handed out (1 after the first claim).
     lease_count: int = 0
 
@@ -85,16 +80,12 @@ class Lease:
     issued_at: float
     heartbeats: int = 0
 
-    def trial_ids(self) -> list[int]:
-        return [t.trial_id for t in self.tasks]
-
 
 @dataclass
 class _Stats:
     claims: int = 0
     heartbeats: int = 0
     reclaims: int = 0
-    steals: int = 0
     poisoned: int = 0
     releases: int = 0
 
@@ -104,9 +95,6 @@ class LeaseTable:
 
     Parameters
     ----------
-    n_queues:
-        Pending-queue count (normally the store's shard count); tasks
-        land in queue ``task.shard % n_queues``.
     batch_size:
         Maximum tasks per claim.
     ttl_s:
@@ -125,27 +113,23 @@ class LeaseTable:
     def __init__(
         self,
         tasks: Iterable[TrialTask] = (),
-        n_queues: int = 1,
         batch_size: int = 1,
         ttl_s: float = 30.0,
         max_leases: int = 3,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        if n_queues < 1:
-            raise ValueError(f"n_queues must be >= 1, got {n_queues}")
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         if ttl_s <= 0:
             raise ValueError(f"ttl_s must be positive, got {ttl_s}")
         if max_leases < 1:
             raise ValueError(f"max_leases must be >= 1, got {max_leases}")
-        self.n_queues = n_queues
         self.batch_size = batch_size
         self.ttl_s = ttl_s
         self.max_leases = max_leases
         self._clock = clock
         self._lock = threading.Lock()
-        self._queues: list[deque[TrialTask]] = [deque() for _ in range(n_queues)]
+        self._queue: deque[TrialTask] = deque()
         self._active: dict[int, Lease] = {}
         self._done: set[int] = set()
         self._poisoned: list[TrialTask] = []
@@ -160,31 +144,17 @@ class LeaseTable:
     def add_task(self, task: TrialTask) -> None:
         """Enqueue one task (callable mid-sweep: elastic workloads)."""
         with self._lock:
-            self._queues[task.shard % self.n_queues].append(task)
+            self._queue.append(task)
             self._total += 1
-            _PENDING.set(self._pending_count())
-
-    def _pending_count(self) -> int:
-        return sum(len(q) for q in self._queues)
+            _PENDING.set(len(self._queue))
 
     # -- queries -------------------------------------------------------------
 
     @property
     def pending(self) -> int:
-        """Tasks waiting in queues."""
+        """Tasks waiting in the queue."""
         with self._lock:
-            return self._pending_count()
-
-    @property
-    def active_leases(self) -> int:
-        with self._lock:
-            return len(self._active)
-
-    @property
-    def done(self) -> int:
-        """Tasks completed (committed by the coordinator)."""
-        with self._lock:
-            return len(self._done)
+            return len(self._queue)
 
     @property
     def poisoned(self) -> list[TrialTask]:
@@ -197,7 +167,7 @@ class LeaseTable:
         """Tasks not yet done or poisoned (pending + leased)."""
         with self._lock:
             leased = sum(len(lease.tasks) for lease in self._active.values())
-            return self._pending_count() + leased
+            return len(self._queue) + leased
 
     @property
     def finished(self) -> bool:
@@ -205,37 +175,16 @@ class LeaseTable:
         with self._lock:
             total_settled = len(self._done) + len(self._poisoned)
             return total_settled >= self._total and not self._active \
-                and self._pending_count() == 0
-
-    def queue_sizes(self) -> list[int]:
-        with self._lock:
-            return [len(q) for q in self._queues]
+                and not self._queue
 
     # -- the lease lifecycle -------------------------------------------------
 
-    def claim(self, worker_id: str, home: int | None = None) -> Lease | None:
-        """Claim up to ``batch_size`` tasks; ``None`` when nothing is pending.
-
-        Prefers the worker's ``home`` queue; when that queue is empty the
-        claim *steals* from the longest non-empty queue (deterministic
-        victim selection via :func:`pick_steal_victim`).
-        """
+    def claim(self, worker_id: str) -> Lease | None:
+        """Claim the next ``batch_size`` tasks; ``None`` when nothing is pending."""
         with self._lock:
-            sizes = [len(q) for q in self._queues]
-            stolen = False
-            if home is not None:
-                home %= self.n_queues
-            if home is not None and sizes[home] > 0:
-                source = home
-            else:
-                source = pick_steal_victim(sizes, exclude=() if home is None else {home})
-                stolen = source is not None and home is not None
-            if source is None:
-                return None
-            queue = self._queues[source]
             tasks: list[TrialTask] = []
-            while queue and len(tasks) < self.batch_size:
-                task = queue.popleft()
+            while self._queue and len(tasks) < self.batch_size:
+                task = self._queue.popleft()
                 if task.trial_id in self._done:
                     # A stale worker committed this trial after it was
                     # reclaimed; the requeued copy is obsolete.
@@ -243,7 +192,7 @@ class LeaseTable:
                 task.lease_count += 1
                 tasks.append(task)
             if not tasks:
-                _PENDING.set(self._pending_count())
+                _PENDING.set(0)
                 return None
             now = self._clock()
             lease = Lease(
@@ -256,11 +205,8 @@ class LeaseTable:
             self._next_lease_id += 1
             self._active[lease.lease_id] = lease
             self.stats.claims += 1
-            if stolen:
-                self.stats.steals += 1
-                _STEALS.inc()
             _CLAIMS.inc()
-            _PENDING.set(self._pending_count())
+            _PENDING.set(len(self._queue))
             _ACTIVE.set(len(self._active))
             return lease
 
@@ -301,8 +247,8 @@ class LeaseTable:
 
         The release reason is classified by the retry taxonomy:
         transient (the default, :class:`WorkerLostError`) re-queues the
-        tasks at the *front* of their home queues; anything else poisons
-        them.  Returns the poisoned tasks.
+        tasks at the *front* of the queue; anything else poisons them.
+        Returns the poisoned tasks.
         """
         with self._lock:
             lease = self._active.pop(lease_id, None)
@@ -310,7 +256,7 @@ class LeaseTable:
                 return []
             self.stats.releases += 1
             poisoned = self._requeue_or_poison(lease, error)
-            _PENDING.set(self._pending_count())
+            _PENDING.set(len(self._queue))
             _ACTIVE.set(len(self._active))
             return poisoned
 
@@ -318,7 +264,7 @@ class LeaseTable:
         """Expire and re-lease overdue leases; returns the reclaimed ones.
 
         The coordinator pumps this continuously.  A reclaimed lease's
-        tasks go back to the front of their queues (transient worker
+        tasks go back to the front of the queue (transient worker
         loss) unless a task has hit ``max_leases`` — then it is poison.
         """
         reclaimed: list[Lease] = []
@@ -344,7 +290,7 @@ class LeaseTable:
                     lease_id, lease.worker_id, len(lease.tasks),
                 )
             if reclaimed:
-                _PENDING.set(self._pending_count())
+                _PENDING.set(len(self._queue))
                 _ACTIVE.set(len(self._active))
         return reclaimed
 
@@ -369,5 +315,5 @@ class LeaseTable:
                     error if error is not None else "non-transient release",
                 )
             else:
-                self._queues[task.shard % self.n_queues].appendleft(task)
+                self._queue.appendleft(task)
         return poisoned

@@ -152,9 +152,6 @@ class TrialStore:
         self._handle: IO[str] | None = None
         #: ``(lineno, raw_line)`` pairs quarantined by the last :meth:`load`.
         self.quarantined: list[tuple[int, str]] = []
-        #: Valid lines held back by ``load(compact=False)`` until
-        #: :meth:`compact` performs the deferred atomic rewrite.
-        self._pending_rewrite: list[str] | None = None
 
     # -- persistence plumbing ------------------------------------------------
 
@@ -216,14 +213,7 @@ class TrialStore:
         return list(self._records)
 
     def add(self, record: TrialRecord) -> None:
-        """Append a record (and persist it if a path is configured).
-
-        A deferred quarantine rewrite (``load(compact=False)``) is
-        forced first: appending onto an un-compacted store could
-        concatenate the new record onto a partial tail line.
-        """
-        if self._pending_rewrite is not None:
-            self.compact()
+        """Append a record (and persist it if a path is configured)."""
         self._records.append(record)
         self._by_config[record.config.config_id()] = len(self._records) - 1
         if self.path is not None:
@@ -242,7 +232,7 @@ class TrialStore:
 
     # -- crash-safe load -----------------------------------------------------
 
-    def load(self, strict: bool = False, compact: bool = True) -> int:
+    def load(self, strict: bool = False) -> int:
         """Load records from the configured path; returns the count added.
 
         Undecodable lines (truncated tail after a crash mid-append,
@@ -252,17 +242,10 @@ class TrialStore:
         appends cannot concatenate onto a partial record.  With
         ``strict=True`` corruption raises :class:`StoreCorruptionError`
         instead (nothing is modified).
-
-        ``compact=False`` defers the rewrite: the records are loaded and
-        the corrupt lines recorded in :attr:`quarantined`, but the file
-        is left untouched until :meth:`compact` runs (the sharded store
-        compacts many shards from a background thread this way).  The
-        first :meth:`add` forces the pending compaction.
         """
         if self.path is None:
             raise ValueError("this store has no backing path")
         self.quarantined = []
-        self._pending_rewrite = None
         if not self.path.exists():
             return 0
         count = 0
@@ -288,28 +271,8 @@ class TrialStore:
                     f"{self.path}: {len(bad)} undecodable line(s) "
                     f"(first at line {bad[0][0]}); run load(strict=False) to quarantine"
                 )
-            if compact:
-                self._quarantine_and_rewrite(valid_lines)
-            else:
-                self._pending_rewrite = valid_lines
+            self._quarantine_and_rewrite(valid_lines)
         return count
-
-    @property
-    def compaction_pending(self) -> bool:
-        """Whether a deferred quarantine rewrite is waiting for :meth:`compact`."""
-        return self._pending_rewrite is not None
-
-    def compact(self) -> int:
-        """Perform a deferred quarantine rewrite; returns lines quarantined.
-
-        No-op (returns 0) when the last :meth:`load` found no corruption
-        or already compacted eagerly.
-        """
-        if self._pending_rewrite is None:
-            return 0
-        valid_lines, self._pending_rewrite = self._pending_rewrite, None
-        self._quarantine_and_rewrite(valid_lines)
-        return len(self.quarantined)
 
     def _quarantine_and_rewrite(self, valid_lines: list[str]) -> None:
         """Move corrupt lines to the sidecar and rewrite the store atomically.

@@ -1,10 +1,8 @@
 """Parallel trial execution (the paper Discussion's multi-GPU NAS, as
 multi-process CPU parallelism).
 
-- :mod:`~repro.parallel.executor` — a uniform ``map``-style interface with
-  serial and process-pool backends;
-- :mod:`~repro.parallel.scheduler` — the work-stealing victim choice of the
-  sweep fabric's idle nodes.
+:mod:`~repro.parallel.executor` is a uniform ``map``-style interface with
+serial and process-pool backends.
 """
 
 from repro.parallel.executor import (
@@ -15,7 +13,6 @@ from repro.parallel.executor import (
     available_cpus,
     make_executor,
 )
-from repro.parallel.scheduler import pick_steal_victim
 
 __all__ = [
     "Executor",
@@ -24,5 +21,4 @@ __all__ = [
     "MapItemResult",
     "available_cpus",
     "make_executor",
-    "pick_steal_victim",
 ]

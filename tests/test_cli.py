@@ -43,6 +43,16 @@ class TestCommands:
         assert "Non-dominated" in out
         assert html.exists() and "const DATA" in html.read_text()
 
+    def test_second_sweep_without_resume_leaves_the_file_alone(self, tmp_path, capsys):
+        """A second run appended to the same file would record every trial twice."""
+        trials = tmp_path / "trials.jsonl"
+        assert main(["sweep", "--out", str(trials), "--budget", "8"]) == 0
+        before = trials.read_bytes()
+        for mode in ([], ["--nodes", "2"]):
+            assert main(["sweep", "--out", str(trials), "--budget", "8", *mode]) == 2
+            assert trials.read_bytes() == before
+        assert "--resume" in capsys.readouterr().out
+
     def test_pareto_missing_file(self, tmp_path):
         assert main(["pareto", str(tmp_path / "none.jsonl")]) == 1
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
@@ -144,6 +145,28 @@ class TestDurability:
             store.add(_record(1, batch=16))
         reloaded = TrialStore(path)
         assert reloaded.load() == 2
+
+    def test_quarantine_rewrite_honors_fsync_durability(self, tmp_path, monkeypatch):
+        """The atomic quarantine rewrite fsyncs exactly when the store's
+        durability knob promises it."""
+        for durability, expect_fsync in (("fsync", True), ("flush", False)):
+            path = tmp_path / f"{durability}.jsonl"
+            _populated_store(path)
+            corrupt_store_tail(path, mode="truncate", seed=0)
+            calls: list[int] = []
+            real_fsync = os.fsync
+            monkeypatch.setattr(
+                os, "fsync", lambda fd: (calls.append(fd), real_fsync(fd))[1]
+            )
+            damaged = TrialStore(path, durability=durability)
+            assert damaged.load() == 2
+            monkeypatch.undo()
+            damaged.close()
+            if expect_fsync:
+                # Sidecar, rewritten file, and its directory entry.
+                assert len(calls) >= 3
+            else:
+                assert calls == []
 
 
 class TestRunManifest:
