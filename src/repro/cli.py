@@ -19,15 +19,14 @@ Subcommands
 ``infer``
     One-shot deploy inference timing (compiled plan by default,
     ``--no-compiled`` for the interpreted reference, ``--quantized``
-    for the int8 + autotuned-kernel path with the per-kernel
-    variant/energy table).
+    for the int8 path with the per-kernel variant/energy table).
 ``serve-bench``
     Load-generator benchmark of the :mod:`repro.serve` micro-batching
     server: throughput, p50/p99 latency, speedup vs the serial
     single-image baseline; ``--json`` for a CI artifact, ``--obs-log``
-    for the metrics JSONL, ``--quantized``/``--autotune-json`` for the
-    int8 scenario and its kernel-selection artifact, ``--fleet N`` for
-    the multi-tenant Pareto-ladder fleet (same load and report).
+    for the metrics JSONL, ``--quantized`` for the int8 scenario,
+    ``--fleet N`` for the multi-tenant Pareto-ladder fleet (same load
+    and report).
 ``obs``
     Render or export an observability JSONL log (``repro obs report`` /
     ``repro obs export``); logs are produced by ``sweep --obs-log`` or
@@ -85,11 +84,25 @@ def _cmd_space(args: argparse.Namespace) -> int:
     return 0
 
 
+def _reject_directory(path: str) -> bool:
+    """Explain and return ``True`` when a trial-file argument is a directory."""
+    from pathlib import Path
+
+    if not Path(path).is_dir():
+        return False
+    print(f"{path} is a directory, not a trial file; to convert a shard "
+          "directory from an older version, see \"Converting an old shard "
+          "directory\" in DEVELOPMENT.md", file=sys.stderr)
+    return True
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
     import repro.obs as obs
     from repro.nas import Experiment, FailureInjector, GridSearch, SurrogateEvaluator, TrialStore
     from repro.nas.searchspace import DEFAULT_SPACE
 
+    if _reject_directory(args.out):
+        return 2
     store = TrialStore(args.out)
     if not args.resume and store.path.exists() and store.path.stat().st_size > 0:
         # Appending a second run would record every trial twice.
@@ -146,6 +159,8 @@ def _cmd_pareto(args: argparse.Namespace) -> int:
     from repro.nas import TrialStore
     from repro.pareto import ParetoAnalysis
 
+    if _reject_directory(args.trials):
+        return 2
     store = TrialStore(args.trials)
     count = store.load()
     if count == 0:
@@ -253,13 +268,11 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_quantized_plan(model, config, size: int, batch: int, seed: int,
-                          cache_path: str = ""):
-    """Quantized export -> calibration -> autotune -> compiled int8 plan.
+def _build_quantized_plan(model, config, size: int, seed: int):
+    """Quantized export -> calibration -> kernel choice -> compiled plan.
 
-    Returns ``(plan, autotune_result)``.  Calibration runs on synthetic
-    patches from a fixed-seed generator so repeated invocations produce
-    the same proto fingerprint (and therefore hit the autotune cache).
+    Calibration runs on synthetic patches from a fixed-seed generator,
+    so repeated invocations compile the same plan.
     """
     import numpy as np
 
@@ -272,8 +285,12 @@ def _build_quantized_plan(model, config, size: int, batch: int, seed: int,
     rng = np.random.default_rng(seed)
     calib = rng.standard_normal((16, config.channels, size, size)).astype("float32")
     calibrate_activations(proto, calib)
-    tune = autotune_variants(proto, batch=batch, cache_path=cache_path or None)
-    return compile_plan(proto, variants=tune.variants), tune
+    return compile_plan(proto, variants=autotune_variants(proto).variants)
+
+
+def _int8_layers(plan) -> int:
+    """Plan steps bound to an ``*.int8`` kernel."""
+    return sum(v.endswith(".int8") for v in plan.kernel_variants().values())
 
 
 def _print_variant_energy_table(model, size: int, plan, device: str = "cortexA76cpu") -> None:
@@ -297,7 +314,7 @@ def _cmd_infer(args: argparse.Namespace) -> int:
 
     import numpy as np
 
-    from repro.deploy import load_runtime
+    from repro.deploy import load_runtime, native
     from repro.nn.resnet import build_model
     from repro.onnxlite.export import export_model
 
@@ -306,13 +323,10 @@ def _cmd_infer(args: argparse.Namespace) -> int:
     rng = np.random.default_rng(args.seed)
     x = rng.standard_normal((args.batch, config.channels, args.size, args.size)).astype("float32")
     if args.quantized:
-        plan, tune = _build_quantized_plan(
-            model, config, args.size, args.batch, seed=args.seed,
-            cache_path=args.autotune_cache)
+        plan = _build_quantized_plan(model, config, args.size, seed=args.seed)
         run = plan.run
-        mode = (f"compiled plan (int8 weights, "
-                f"{len(tune.variants)} layers autotuned"
-                f"{', cached decisions' if tune.cached else ''})")
+        mode = (f"compiled plan (int8 weights, {_int8_layers(plan)} int8 layers, "
+                f"int8 kernels: {native.implementation()})")
     else:
         runtime = load_runtime(export_model(model, input_hw=(args.size, args.size)))
         compiled = args.compiled
@@ -427,9 +441,7 @@ def _serve_bench_model(args: argparse.Namespace, policy):
     ``(server, tenants, JSON fields, serial baseline)``, the baselines
     measured before the server starts.  ``--target-p99-ms`` replaces
     ``policy`` with one seeded from the latency predictors."""
-    import json
-
-    from repro.deploy import load_runtime
+    from repro.deploy import load_runtime, native
     from repro.graph.trace import trace_model
     from repro.nn.resnet import build_model
     from repro.onnxlite.export import export_model
@@ -445,13 +457,10 @@ def _serve_bench_model(args: argparse.Namespace, policy):
     model = build_model(config)
     runtime = load_runtime(export_model(model, input_hw=(args.size, args.size)))
     fp32_plan = runtime.compile()
-    tune = None
     if args.quantized:
-        plan, tune = _build_quantized_plan(
-            model, config, args.size, args.max_batch, seed=args.seed,
-            cache_path=args.autotune_cache)
-        print(f"serving the quantized plan: {len(tune.variants)} layers autotuned"
-              f"{' (cached decisions)' if tune.cached else ''}")
+        plan = _build_quantized_plan(model, config, args.size, seed=args.seed)
+        print(f"serving the quantized plan: {_int8_layers(plan)} int8 layers, "
+              f"int8 kernels: {native.implementation()}")
     else:
         plan = fp32_plan
     if args.target_p99_ms > 0:
@@ -469,27 +478,19 @@ def _serve_bench_model(args: argparse.Namespace, policy):
     fields: dict = {"serial_baseline": baseline.as_dict()}
     if args.quantized:
         # Paired serial comparison on the same machine state: the served
-        # plan (quantized + autotuned) vs the fp32 default compilation.
+        # quantized plan vs the fp32 default compilation.
         fp32_serial = serial_baseline(fp32_plan.replicate(),
                                       duration_s=min(1.0, args.duration / 2))
         ratio = (baseline.throughput_ips / fp32_serial.throughput_ips
                  if fp32_serial.throughput_ips else float("nan"))
         fields["quantized"] = {
-            "autotuned_layers": len(tune.variants),
-            "autotune_cached": tune.cached,
+            "int8_layers": _int8_layers(plan),
             "serial_fp32_ips": round(fp32_serial.throughput_ips, 1),
             "serial_quantized_ips": round(baseline.throughput_ips, 1),
             "quantized_vs_fp32": round(ratio, 3),
         }
         print(f"quantized vs fp32 serial: {baseline.throughput_ips:.1f} vs "
               f"{fp32_serial.throughput_ips:.1f} images/sec ({ratio:.2f}x)")
-    if args.autotune_json:
-        if tune is None:
-            _LOG.warning("--autotune-json requires --quantized; nothing written")
-        else:
-            with open(args.autotune_json, "w", encoding="utf-8") as fh:
-                json.dump(tune.to_json(), fh, indent=2)
-            print(f"autotune decision table written to {args.autotune_json}")
 
     server = PlanServer(plan, config=ServeConfig(policy=policy))
     return server, [TenantLoad(clients=args.clients)], fields, baseline
@@ -508,8 +509,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
             ("--policy.worker-mode", args.worker_mode != "thread"),
             ("--quantized", args.quantized),
             ("--target-p99-ms", args.target_p99_ms),
-            ("--autotune-cache", args.autotune_cache),
-            ("--autotune-json", args.autotune_json),
         ) if value]
         if single_model_flags:
             _LOG.error("--fleet serves the thread-mode fp32 width ladder; drop %s",
@@ -698,13 +697,11 @@ def build_parser() -> argparse.ArgumentParser:
                             "(--no-compiled for the interpreted reference; "
                             "both paths agree within rtol=1e-3/atol=1e-4)")
     infer.add_argument("--quantized", action="store_true",
-                       help="serve the int8 path: quantized export + activation "
-                            "calibration + per-layer kernel autotuning; prints "
-                            "the kernel-variant table with per-kernel energy "
+                       help="run the int8 path: quantized export + activation "
+                            "calibration, int8 Conv/Gemm kernels where the "
+                            "native ones load (fp32 otherwise); prints the "
+                            "kernel-variant table with per-kernel energy "
                             "estimates")
-    infer.add_argument("--autotune-cache", default="",
-                       help="JSON autotune decision cache (reused across runs "
-                            "keyed by model fingerprint and batch)")
 
     serve_bench = sub.add_parser(
         "serve-bench",
@@ -762,15 +759,9 @@ def build_parser() -> argparse.ArgumentParser:
                                   "--policy.max-queue-depth)")
     serve_bench.add_argument("--seed", type=int, default=0)
     serve_bench.add_argument("--quantized", action="store_true",
-                             help="serve the quantized + autotuned plan instead of "
-                                  "the fp32 default, and report the paired serial "
+                             help="serve the quantized plan instead of the fp32 "
+                                  "default, and report the paired serial "
                                   "throughput ratio vs fp32")
-    serve_bench.add_argument("--autotune-cache", default="",
-                             help="JSON autotune decision cache (with --quantized)")
-    serve_bench.add_argument("--autotune-json", default="",
-                             help="write the autotune decision table (chosen variant "
-                                  "+ per-variant timings per layer) as JSON here "
-                                  "(with --quantized)")
     serve_bench.add_argument("--obs-log", default="",
                              help="write an observability JSONL log here")
     serve_bench.add_argument("--json", default="",

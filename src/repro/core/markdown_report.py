@@ -79,14 +79,12 @@ def _kernel_energy_section(device: str = "cortexA76cpu") -> list[str]:
     """TEA-DNN-style kernel-variant energy what-if for the deployment tile.
 
     Prices the Pareto-winner architecture at the 24x24 deployment tile
-    under the three kernel families the deploy compiler can emit (fp32
-    im2col, Winograd on eligible convs, the int8 integer path), using
-    the per-variant factors of
+    under the two kernel families the deploy compiler can emit (fp32
+    im2col, the int8 integer path), using the per-variant factors of
     :data:`repro.latency.energy.VARIANT_COST_FACTORS`.  Static estimate
-    only — the compile-time autotuner picks per layer by measurement.
+    only — which family a quantized plan binds depends on whether the
+    native int8 kernels loaded (:func:`repro.deploy.autotune_variants`).
     """
-    from repro.deploy.winograd import WINOGRAD_VARIANT, winograd_eligible
-    from repro.graph.ir import OpType
     from repro.graph.trace import trace_model
     from repro.latency.energy import energy_report
     from repro.nas.config import ModelConfig
@@ -99,8 +97,6 @@ def _kernel_energy_section(device: str = "cortexA76cpu") -> list[str]:
     with skip_init():
         model = build_model(config)
     graph = trace_model(model, input_hw=(24, 24))
-    winograd = {n.name: WINOGRAD_VARIANT for n in graph.nodes()
-                if n.op is OpType.CONV and winograd_eligible(n.attrs)}
     integer = {"conv-bn-relu": "conv.im2col.int8", "conv-bn": "conv.im2col.int8",
                "fc": "gemm.int8", "add-relu": "add.int8", "add": "add.int8",
                "maxpool": "maxpool.u8", "global-avgpool": "gap.u8", "relu": "relu.u8"}
@@ -108,7 +104,6 @@ def _kernel_energy_section(device: str = "cortexA76cpu") -> list[str]:
     int8_map = {r["kernel"]: integer.get(r["kernel_type"], r["variant"]) for r in fp32_rows}
     fp32_total = sum(r["energy_mj"] for r in fp32_rows)
     scenarios = [("fp32 im2col (compiler default)", {}),
-                 ("Winograd F(2x2,3x3) on stride-1 3x3 convs", winograd),
                  ("int8 integer path", int8_map)]
     rows = []
     for label, variants in scenarios:
@@ -120,9 +115,10 @@ def _kernel_energy_section(device: str = "cortexA76cpu") -> list[str]:
                  "24x24 tile, by kernel selection (library extension — the "
                  "paper reports no energy figures):\n")
     parts.append(_md_table(rows))
-    parts.append("\nThe deploy compiler's autotuner selects per layer by "
-                 "micro-benchmark (`repro-nas infer --quantized` prints the "
-                 "chosen variants with per-kernel energy).\n")
+    parts.append("\nA quantized plan binds the int8 path where the native "
+                 "int8 kernels load and fp32 elsewhere (`repro-nas infer "
+                 "--quantized` prints the bound variants with per-kernel "
+                 "energy).\n")
     return parts
 
 

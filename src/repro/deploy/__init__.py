@@ -21,11 +21,12 @@ shared, arenas private) behind the micro-batching server in
 :mod:`repro.serve`.  Misuse raises :class:`ConcurrentPlanError`.
 """
 
-from repro.deploy.autotune import AutotuneResult, autotune_variants
 from repro.deploy.plan import (
     Arena,
+    AutotuneResult,
     ConcurrentPlanError,
     InferencePlan,
+    autotune_variants,
     compile_plan,
 )
 from repro.deploy.runtime import OnnxliteRuntime, load_runtime

@@ -376,8 +376,9 @@ def plan_quantization(
     - **GlobalAveragePool** accumulates codes but always emits float32.
     - The plan's **final output** is always float32, whatever produced it.
 
-    ``variant_map`` (node name -> kernel variant, e.g. an autotuner
-    decision) can force an eligible node onto its ``.f32`` variant;
+    ``variant_map`` (node name -> kernel variant, e.g. the overrides of
+    :func:`repro.deploy.autotune_variants`) can force an eligible node
+    onto its ``.f32`` variant;
     forcing an ``.int8``/``.u8`` variant onto an ineligible node raises.
     Mutates ``node.qconfig`` in place (keys ``input`` / ``input_b`` /
     ``output``; ``output=None`` marks the float32 epilogue) and returns

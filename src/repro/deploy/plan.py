@@ -23,7 +23,11 @@ int8 Conv/Gemm/Add call the native VNNI kernels of
   for the whole forward pass;
 - **workspace reuse** — the im2col column matrix and padded-input
   scratch come from the same arena, so Conv ops sharing a shape share
-  one allocation across the run *and* across runs.
+  one allocation across the run *and* across runs;
+- **kernel choice by rule, not by stopwatch** — calibrated Conv/Gemm
+  layers default to int8, and :func:`autotune_variants` keeps that
+  default only where the native int8 kernels loaded (see its docstring
+  for why), so one host always compiles one variant map.
 
 The interpreted :class:`~repro.deploy.runtime.OnnxliteRuntime` path is
 kept unchanged (and NCHW) as the independent reference implementation;
@@ -65,15 +69,16 @@ from repro.deploy.qkernels import (
     requantize,
 )
 from repro.deploy.weights import LazyWeightTable
-from repro.deploy.winograd import WINOGRAD_VARIANT, bind_winograd_conv, winograd_eligible
 from repro.latency.fusion import KERNEL_VARIANTS
 from repro.onnxlite.schema import ModelProto
 
 __all__ = [
     "Arena",
+    "AutotuneResult",
     "ConcurrentPlanError",
     "InferencePlan",
     "PlanStep",
+    "autotune_variants",
     "channels_last",
     "compile_plan",
 ]
@@ -883,9 +888,10 @@ def _resolve_variants(
 ) -> dict[str, str]:
     """Final node -> kernel-variant assignment.
 
-    Explicit choices (autotuner decisions, test overrides) are validated
-    against :data:`~repro.latency.fusion.KERNEL_VARIANTS` and the node's
-    geometry; everything else defaults to the integer variant when
+    Explicit choices (:func:`autotune_variants` overrides, test
+    overrides) are validated against
+    :data:`~repro.latency.fusion.KERNEL_VARIANTS`; everything else
+    defaults to the integer variant when
     :func:`~repro.deploy.passes.plan_quantization` marked the node
     integer, and to the op's fp32 variant otherwise.
     """
@@ -899,17 +905,45 @@ def _resolve_variants(
                     f"unknown variant {forced!r} for {node.op_type} node "
                     f"{node.name!r}; expected one of {allowed}"
                 )
-            if forced == WINOGRAD_VARIANT and not winograd_eligible(node.attrs):
-                raise ValueError(
-                    f"{node.name!r} is not Winograd-eligible (needs a stride-1 "
-                    f"3x3 conv), got attrs {node.attrs}"
-                )
             resolved[node.name] = forced
         elif node.qconfig:
             resolved[node.name] = _INTEGER_VARIANTS[node.op_type]
         else:
             resolved[node.name] = allowed[0] if allowed else f"{node.op_type.lower()}.f32"
     return resolved
+
+
+@dataclass
+class AutotuneResult:
+    """The kernel-variant overrides for one model on this host.
+
+    ``variants`` feeds straight into ``compile_plan(..., variants=...)``.
+    """
+
+    variants: dict[str, str] = field(default_factory=dict)
+
+
+def autotune_variants(proto: ModelProto, batch: int = 1) -> AutotuneResult:
+    """Choose int8 or fp32 Conv/Gemm kernels by which int8 kernels loaded.
+
+    Where the native VNNI library of :mod:`repro.deploy.native` loaded,
+    no layer is overridden, so :func:`compile_plan`'s int8 default on
+    calibrated layers stands.  Otherwise every Conv and Gemm is forced
+    to its fp32 variant: the NumPy int8 kernels run the same float32
+    BLAS GEMM as fp32 (:func:`~repro.deploy.qkernels.chunked_int_gemm`)
+    plus a quantize and a requantize epilogue, so they never win.
+
+    The choice reads the platform, not a timing: per-layer int8 and fp32
+    timings overlap, and picking between overlapping distributions from
+    one sample picks by host noise.  ``batch`` does not affect the
+    choice; it is accepted for callers that specialize a plan to one.
+    """
+    if native.load() is not None:
+        return AutotuneResult()
+    return AutotuneResult({
+        op.name: KERNEL_VARIANTS[op.op_type][0]
+        for op in proto.operators if op.op_type in ("Conv", "Gemm")
+    })
 
 
 def _bind_step(
@@ -952,8 +986,6 @@ def _bind_step(
     if kind == "Conv":
         if variant == "conv.im2col.int8":
             run = _bind_qconv(node, in_shape, out_shape, arena, in_form)
-        elif variant == WINOGRAD_VARIANT:
-            run = bind_winograd_conv(node, in_shape, out_shape, arena)
         else:
             run = _bind_conv(node, in_shape, out_shape, arena)
     elif kind == "Gemm":
@@ -1225,7 +1257,7 @@ class _PlanBlueprint:
     #: Per-tensor carrier form ("u8" | "f32") from plan_quantization.
     forms: dict[str, str] = field(default_factory=dict)
     #: Resolved node -> kernel-variant assignment; replicas re-bind the
-    #: exact same variants, so autotune decisions survive replication.
+    #: exact same variants, so explicit overrides survive replication.
     variants: dict[str, str] = field(default_factory=dict)
 
     def bind(self, poison: bool = False) -> InferencePlan:
@@ -1277,11 +1309,11 @@ def compile_plan(
         read-after-free in the release schedule (see :class:`Arena`).
     variants:
         Optional node-name -> kernel-variant overrides (names from
-        :data:`repro.latency.fusion.KERNEL_VARIANTS`) — how autotune
-        decisions and A/B comparisons pick non-default kernels, e.g.
-        ``{"features.0": "conv.winograd2x2.f32"}``.  Unknown names,
-        ineligible geometry, or an integer variant without the required
-        quantization payloads raise ``ValueError``.
+        :data:`repro.latency.fusion.KERNEL_VARIANTS`) — how
+        :func:`autotune_variants` and A/B comparisons pick non-default
+        kernels, e.g. ``{"conv1": "conv.im2col.f32"}``.  Unknown names,
+        or an integer variant without the required quantization
+        payloads, raise ``ValueError``.
     """
     if not proto.operators:
         raise ValueError("model has no operators")

@@ -44,9 +44,9 @@ def plan_weight_arrays(nodes) -> "Iterator[tuple[str, str, np.ndarray]]":
     int8 codes — packed for the native kernels ("w_packed", with the
     per-channel epilogue vectors "q_f64", "q_i64", "q_bias") or as the
     NumPy kernels' float32 code matrix with its per-channel scales and
-    code sums ("w_codes_f32", "w_scales", "w_col_sums") — and Winograd
-    transforms ("winograd_u") — so publishing exactly this set into a
-    shared-memory segment covers every kernel variant a rebind can pick.
+    code sums ("w_codes_f32", "w_scales", "w_col_sums") — so publishing
+    exactly this set into a shared-memory segment covers every kernel
+    variant a rebind can pick.
     """
     for node in nodes:
         for role in sorted(node.weights):

@@ -26,7 +26,6 @@ from repro.latency.fusion import (
     FusedOp,
     fuse_graph,
     fusion_rule,
-    variants_for,
 )
 from repro.latency.devices import DeviceProfile, DEVICE_PROFILES
 from repro.latency.predictors import LatencyPredictor, predict_all_devices, LatencySummary
@@ -57,7 +56,6 @@ __all__ = [
     "estimate_energy_mj",
     "kernel_energy_mj",
     "KERNEL_VARIANTS",
-    "variants_for",
     "Kernel",
     "extract_kernels",
     "fuse_graph",

@@ -70,16 +70,13 @@ class VariantCostFactors:
 #: :data:`repro.latency.fusion.KERNEL_VARIANTS` exactly (checked in
 #: ``tests/test_latency.py``) — the same matching invariant that ties
 #: the latency predictor to the compiled plan ties this table to every
-#: autotuner decision, so an energy estimate exists for any plan the
+#: kernel the plan binds, so an energy estimate exists for any plan the
 #: deploy compiler can emit.  The fp32 defaults are identity (the
 #: baseline the coefficients of :data:`ENERGY_MODELS` were set for);
-#: Winograd F(2x2, 3x3) trades a 2.25x multiply reduction (16 vs 36
-#: multiplies per output tile) for slightly higher activation traffic;
 #: int8 kernels keep the multiply count but quarter the bytes moved and
 #: the per-MAC energy (TEA-DNN's int8 assumption).
 VARIANT_COST_FACTORS: dict[str, VariantCostFactors] = {
     "conv.im2col.f32": VariantCostFactors(),
-    "conv.winograd2x2.f32": VariantCostFactors(flops=16.0 / 36.0, bytes=1.15),
     "conv.im2col.int8": VariantCostFactors(bytes=0.25, pj_per_flop=0.25),
     "gemm.f32": VariantCostFactors(),
     "gemm.int8": VariantCostFactors(bytes=0.25, pj_per_flop=0.25),
@@ -141,9 +138,8 @@ def estimate_energy_mj(
 ) -> float:
     """Estimated single-inference energy in millijoules on ``device``.
 
-    ``variants`` (kernel name -> variant, e.g. an
-    :class:`repro.deploy.autotune.AutotuneResult` mapping or a compiled
-    plan's :meth:`~repro.deploy.plan.InferencePlan.kernel_variants`)
+    ``variants`` (kernel name -> variant, e.g. a compiled plan's
+    :meth:`~repro.deploy.plan.InferencePlan.kernel_variants`)
     re-prices each kernel under the variant that actually executes;
     omitted kernels price at their fp32 default, so the no-argument call
     is unchanged.

@@ -25,7 +25,6 @@ __all__ = [
     "FusedOp",
     "fuse_graph",
     "fusion_rule",
-    "variants_for",
 ]
 
 #: Canonical fusion rule table, keyed by the onnxlite operator-type
@@ -41,13 +40,13 @@ FUSION_RULES: dict[str, tuple[str, ...]] = {
 #: Kernel-variant vocabulary, keyed by lead operator type.  This is the
 #: *matching invariant* between prediction and execution: every variant
 #: name the deploy compiler can stamp on a :class:`PlanStep` (including
-#: every autotuner decision) appears here, and the per-variant energy
+#: every explicit override) appears here, and the per-variant energy
 #: model (:mod:`repro.latency.energy`) prices exactly these names — so a
 #: predicted kernel and the kernel the plan actually runs can always be
 #: joined on ``(op_type, variant)``.  The first entry of each tuple is
 #: the operator's default (fp32) variant.
 KERNEL_VARIANTS: dict[str, tuple[str, ...]] = {
-    "Conv": ("conv.im2col.f32", "conv.winograd2x2.f32", "conv.im2col.int8"),
+    "Conv": ("conv.im2col.f32", "conv.im2col.int8"),
     "Gemm": ("gemm.f32", "gemm.int8"),
     "Add": ("add.f32", "add.int8"),
     "MaxPool": ("maxpool.f32", "maxpool.u8"),
@@ -57,37 +56,6 @@ KERNEL_VARIANTS: dict[str, tuple[str, ...]] = {
     "BatchNormalization": ("bn.f32",),
 }
 
-
-def variants_for(
-    op_type: str,
-    attrs: dict | None = None,
-    quantized: bool = False,
-) -> tuple[str, ...]:
-    """The kernel variants eligible for one operator instance.
-
-    Parameters
-    ----------
-    op_type:
-        onnxlite operator-type string (a :data:`KERNEL_VARIANTS` key).
-    attrs:
-        The operator's attributes; Winograd F(2x2, 3x3) is offered only
-        for stride-1 3x3 convolutions.
-    quantized:
-        Whether the integer path is available for this instance (int8
-        weights *and* activation calibration present) — gates the
-        ``*.int8`` / ``*.u8`` variants.
-    """
-    names = KERNEL_VARIANTS.get(op_type, ())
-    attrs = attrs or {}
-    eligible = []
-    for name in names:
-        if name == "conv.winograd2x2.f32":
-            if int(attrs.get("kernel", 0)) != 3 or int(attrs.get("stride", 0)) != 1:
-                continue
-        if (name.endswith(".int8") or name.endswith(".u8")) and not quantized:
-            continue
-        eligible.append(name)
-    return tuple(eligible)
 
 #: IR op type <-> onnxlite operator-type string (the fusable subset).
 _IR_TO_ONNX = {

@@ -77,17 +77,13 @@ class Lease:
     worker_id: str
     tasks: list[TrialTask]
     expires_at: float
-    issued_at: float
-    heartbeats: int = 0
 
 
 @dataclass
 class _Stats:
     claims: int = 0
-    heartbeats: int = 0
     reclaims: int = 0
     poisoned: int = 0
-    releases: int = 0
 
 
 class LeaseTable:
@@ -194,13 +190,11 @@ class LeaseTable:
             if not tasks:
                 _PENDING.set(0)
                 return None
-            now = self._clock()
             lease = Lease(
                 lease_id=self._next_lease_id,
                 worker_id=worker_id,
                 tasks=tasks,
-                expires_at=now + self.ttl_s,
-                issued_at=now,
+                expires_at=self._clock() + self.ttl_s,
             )
             self._next_lease_id += 1
             self._active[lease.lease_id] = lease
@@ -222,8 +216,6 @@ class LeaseTable:
             if lease is None:
                 return False
             lease.expires_at = self._clock() + self.ttl_s
-            lease.heartbeats += 1
-            self.stats.heartbeats += 1
             _HEARTBEATS.inc()
             return True
 
@@ -254,7 +246,6 @@ class LeaseTable:
             lease = self._active.pop(lease_id, None)
             if lease is None:
                 return []
-            self.stats.releases += 1
             poisoned = self._requeue_or_poison(lease, error)
             _PENDING.set(len(self._queue))
             _ACTIVE.set(len(self._active))

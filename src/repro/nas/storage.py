@@ -233,9 +233,10 @@ class TrialStore:
     # -- crash-safe load -----------------------------------------------------
 
     def load(self, strict: bool = False) -> int:
-        """Load records from the configured path; returns the count added.
+        """Replace the in-memory records with the file's; returns the count loaded.
 
-        Undecodable lines (truncated tail after a crash mid-append,
+        Loading twice gives the same store, never a second copy of each
+        record.  Undecodable lines (truncated tail after a crash mid-append,
         corrupted bytes) are **quarantined**: the raw line is appended to
         :attr:`quarantine_path`, a warning is logged, and the store file
         is atomically rewritten with only the valid lines so subsequent
@@ -246,6 +247,8 @@ class TrialStore:
         if self.path is None:
             raise ValueError("this store has no backing path")
         self.quarantined = []
+        self._records = []
+        self._by_config = {}
         if not self.path.exists():
             return 0
         count = 0

@@ -8,7 +8,7 @@ invariant across that boundary:
 
 1. :func:`publish_plan` lays every bound weight array of a compiled
    plan (fp32 fused matrices, GEMM transposes, int8 code matrices +
-   per-channel scales, Winograd transforms — whatever
+   per-channel scales — whatever
    :func:`repro.deploy.plan_weight_arrays` yields) into **one**
    ``multiprocessing.shared_memory`` segment, 64-byte aligned, and
    returns a picklable :class:`PlanSpec` describing the blueprint minus

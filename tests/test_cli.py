@@ -56,6 +56,17 @@ class TestCommands:
     def test_pareto_missing_file(self, tmp_path):
         assert main(["pareto", str(tmp_path / "none.jsonl")]) == 1
 
+    @pytest.mark.parametrize("command", [
+        ["pareto", "{dir}"],
+        ["sweep", "--out", "{dir}", "--budget", "4"],
+        ["sweep", "--out", "{dir}", "--budget", "4", "--resume"],
+    ], ids=["pareto", "sweep", "sweep-resume"])
+    def test_directory_as_trial_file_points_at_the_conversion(self, tmp_path, capsys, command):
+        """A shard directory from an older version is not a trial file."""
+        assert main([arg.format(dir=tmp_path) for arg in command]) == 2
+        assert "Converting an old shard directory" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_energy(self, capsys):
         assert main(["energy", "--kernel-size", "3", "--padding", "1",
                      "--pool-choice", "0", "--initial-output-feature", "32"]) == 0
@@ -112,39 +123,31 @@ class TestCommands:
 
     def test_quantized_infer_then_serve_bench_share_autotune_cache(self, tmp_path, capsys):
         """The int8 scenario end to end: infer prints the variant/energy
-        table, serve-bench reuses the autotune cache (same fingerprint +
-        batch) and emits the decision-table artifact."""
-        cache = tmp_path / "autotune.json"
+        table, serve-bench reports the int8 layer count and the paired
+        fp32 ratio.  Int8 layers bind only where the native kernels load."""
+        from repro.deploy import native
+
         base = ["--size", "24", "--kernel-size", "3", "--padding", "1",
-                "--pool-choice", "0", "--initial-output-feature", "32",
-                "--quantized", "--autotune-cache", str(cache)]
+                "--pool-choice", "0", "--initial-output-feature", "32", "--quantized"]
         assert main(["infer", "--batch", "4", "--runs", "1", *base]) == 0
         out = capsys.readouterr().out
-        assert "autotuned" in out and "Kernel variants & estimated energy" in out
+        assert "int8 layers" in out and "Kernel variants & estimated energy" in out
         assert "energy/inference" in out
-        assert cache.exists()
 
         serving = tmp_path / "serving.json"
-        table = tmp_path / "autotune_table.json"
         code = main([
             "serve-bench", "--duration", "0.4", "--clients", "4",
             "--policy.max-batch-size", "4", "--policy.max-queue-delay-ms", "2",
             "--policy.max-queue-depth", "32",
-            "--json", str(serving), "--autotune-json", str(table), *base,
+            "--json", str(serving), *base,
         ])
         assert code == 0
         out = capsys.readouterr().out
-        assert "cached decisions" in out  # infer's cache entry replayed
         assert "quantized vs fp32 serial" in out
         import json
         payload = json.loads(serving.read_text())
-        assert payload["quantized"]["autotuned_layers"] > 0
-        assert payload["quantized"]["autotune_cached"] is True
+        assert (payload["quantized"]["int8_layers"] > 0) == (native.load() is not None)
         assert payload["quantized"]["quantized_vs_fp32"] > 0
-        decisions = json.loads(table.read_text())
-        assert decisions["variants"] and decisions["batch"] == 4
-        for row in decisions["table"].values():
-            assert row["chosen"] in row["timings_us"]
 
     def test_serve_bench_process_mode_json(self, tmp_path, capsys):
         out = tmp_path / "serving_mp.json"
@@ -248,8 +251,6 @@ class TestCommands:
     @pytest.mark.parametrize("flag", [
         ["--quantized"],
         ["--target-p99-ms", "5"],
-        ["--autotune-cache", "tune.json"],
-        ["--autotune-json", "table.json"],
         ["--policy.worker-mode", "process"],
     ])
     def test_serve_bench_fleet_rejects_single_model_flags(self, flag):

@@ -6,10 +6,10 @@ tight tolerance across fuzzed search-space configs (fp32 and quantized),
 its kernel grouping must match what the latency predictors price, and
 its static release schedule must never free a buffer that is still read
 (guarded by NaN-poisoning released arena slots in debug mode).  Each conv
-kernel (fp32 im2col, Winograd, int8) is forced in turn at batch 1, 3 and
-16, the int8 conv's channels-last accumulator is checked against an
-int64 reference, and a plan on the native int8 kernels must give the
-NumPy int8 plan's output bits.
+kernel (fp32 im2col, int8) is forced in turn at batch 1, 3 and 16, the
+int8 conv's channels-last accumulator is checked against an int64
+reference, and a plan on the native int8 kernels must give the NumPy
+int8 plan's output bits.
 """
 
 from unittest import mock
@@ -28,7 +28,6 @@ from repro.deploy import (
 )
 from repro.deploy.passes import PlanNode, build_plan_nodes, fuse_operators, toposort_nodes
 from repro.deploy.plan import _bind_qconv, channels_last
-from repro.deploy.winograd import WINOGRAD_VARIANT, winograd_eligible
 from repro.graph.trace import trace_model
 from repro.latency.fusion import FUSION_RULES, fuse_graph, fusion_rule
 from repro.nas.config import ModelConfig
@@ -64,9 +63,8 @@ def _reference_logits(model, x):
 
 
 def _conv_variants(proto, variant):
-    """Force ``variant`` onto every Conv of ``proto`` that admits it."""
-    return {op.name: variant for op in proto.operators if op.op_type == "Conv"
-            and (variant != WINOGRAD_VARIANT or winograd_eligible(op.attrs))}
+    """Force ``variant`` onto every Conv of ``proto``."""
+    return {op.name: variant for op in proto.operators if op.op_type == "Conv"}
 
 
 def _batches(size, seed=0):
@@ -154,7 +152,7 @@ class TestEquivalence:
         np.testing.assert_array_equal(plan.predict(x), runtime.predict(x))
 
     @pytest.mark.parametrize("size", SIZES)
-    @pytest.mark.parametrize("variant", ["conv.im2col.f32", WINOGRAD_VARIANT])
+    @pytest.mark.parametrize("variant", ["conv.im2col.f32"])
     def test_forced_fp32_conv_variant_at_every_batch_size(self, size, variant):
         runtime = load_runtime(export_model(_model(), input_hw=(size, size)))
         forced = _conv_variants(runtime.proto, variant)

@@ -206,11 +206,10 @@ class TestKernelVariantRegistry:
         assert set(VARIANT_COST_FACTORS) == self._registry_names()
 
     def test_defaults_are_fp32(self):
-        from repro.latency import KERNEL_VARIANTS, variants_for
+        from repro.latency import KERNEL_VARIANTS
 
         for op, names in KERNEL_VARIANTS.items():
             assert names[0].endswith(".f32"), (op, names)
-            assert variants_for(op)[0] == names[0]
 
     def test_variant_pricing_scales_energy(self):
         from repro.latency import kernel_energy_mj
@@ -220,9 +219,7 @@ class TestKernelVariantRegistry:
                         conv_kernel=3)
         fp32 = kernel_energy_mj(kernel, "cortexA76cpu", "conv.im2col.f32")
         int8 = kernel_energy_mj(kernel, "cortexA76cpu", "conv.im2col.int8")
-        winograd = kernel_energy_mj(kernel, "cortexA76cpu", "conv.winograd2x2.f32")
         assert int8 < fp32  # quarter bytes + quarter pJ/MAC
-        assert winograd != fp32
         assert kernel_energy_mj(kernel, "cortexA76cpu", None) == fp32  # default
         with pytest.raises(KeyError):
             kernel_energy_mj(kernel, "cortexA76cpu", "conv.fft.f32")

@@ -49,7 +49,7 @@ class TestSweepMarkdown:
     def test_kernel_energy_section(self, small_result):
         text = sweep_markdown(small_result, include_baseline=False)
         assert "## Kernel variants & energy" in text
-        for scenario in ("fp32 im2col", "Winograd F(2x2,3x3)", "int8 integer path"):
+        for scenario in ("fp32 im2col", "int8 integer path"):
             assert scenario in text
         # int8 should price below the fp32 baseline (bytes + pJ/MAC factors).
         int8_row = next(line for line in text.splitlines() if "int8 integer path" in line)

@@ -81,3 +81,14 @@ class TestTrialStore:
 
     def test_load_missing_file_is_zero(self, tmp_path):
         assert TrialStore(tmp_path / "none.jsonl").load() == 0
+
+    def test_load_twice_replaces_the_records(self, tmp_path):
+        """A reload must not double every record (and every front member)."""
+        path = tmp_path / "trials.jsonl"
+        with TrialStore(path) as writer:
+            writer.extend(_record(i, batch=b) for i, b in enumerate((8, 16, 32)))
+        store = TrialStore(path)
+        assert store.load() == 3
+        assert store.load() == 3
+        assert len(store) == 3 and len(store.analysis_records()) == 3
+        assert store.find(_record(0, batch=16).config).trial_id == 1

@@ -1,4 +1,4 @@
-"""Integer kernels, Winograd convolution, and compile-time autotuning.
+"""Integer kernels and the int8-or-fp32 kernel rule.
 
 Certification suite for the true-int8 inference path and the kernel
 variant registry:
@@ -7,14 +7,13 @@ variant registry:
   (fuzzed, including K > 512 so the panel loop is exercised);
 - the gemmlowp-style fixed-point requantization matches round-to-nearest
   within one code;
-- the F(2x2, 3x3) Winograd binder matches the im2col binder to tight
-  absolute tolerance across fuzzed odd geometries (padding, C_in=1, the
-  24x24 deployment tile, 25x25);
 - a fully integer compiled plan certifies against the fp32 interpreter
   within quantization tolerance and agrees on argmax;
-- variant forcing validates against eligibility and the registry;
-- autotune decisions replay deterministically from the JSON cache, also
-  across processes;
+- variant forcing validates against the registry and the quantization
+  payloads;
+- ``autotune_variants`` keeps every Conv/Gemm int8 where the native
+  kernels load, forces them all to fp32 where they do not, and returns
+  one map however often it is called;
 - the quantized path materializes zero dequantized fp32 weight copies
   (the lazy-weight invariant);
 - the native VNNI kernels (:mod:`repro.deploy.native`) accumulate
@@ -26,7 +25,6 @@ variant registry:
 """
 
 import ctypes
-import json
 import os
 import shutil
 import subprocess
@@ -42,12 +40,10 @@ from repro.deploy import autotune_variants, compile_plan, native
 from repro.deploy.passes import PlanNode
 from repro.deploy.plan import (
     Arena,
-    _bind_conv,
     _bind_qadd,
     _bind_qconv,
     _bind_qgemm,
     _native_layer,
-    channels_last,
 )
 from repro.deploy.qkernels import (
     K_CHUNK,
@@ -57,7 +53,6 @@ from repro.deploy.qkernels import (
     requantize,
 )
 from repro.deploy.runtime import OnnxliteRuntime
-from repro.deploy.winograd import WINOGRAD_VARIANT, bind_winograd_conv, winograd_eligible
 from repro.latency.fusion import KERNEL_VARIANTS
 from repro.nn import SearchableResNet18
 from repro.onnxlite.reader import proto_from_bytes
@@ -144,52 +139,6 @@ class TestChunkedIntGemm:
         assert out[:, 0].tolist() == [255, 10, 250]  # 500 clips, 10, 250
 
 
-def _conv_node(c_out, c_in, padding, relu, seed):
-    rng = np.random.default_rng(seed)
-    return PlanNode(
-        name="conv", op_type="Conv", inputs=["x"], output="y",
-        attrs={"kernel": 3, "stride": 1, "padding": padding},
-        relu=relu,
-        weights={
-            "weight": (rng.standard_normal((c_out, c_in, 3, 3)) * 0.3).astype(np.float32),
-            "bias": rng.standard_normal(c_out).astype(np.float32),
-        },
-    )
-
-
-class TestWinograd:
-    """F(2x2, 3x3) output transform equivalence against im2col."""
-
-    def _compare(self, c_out, c_in, h, w, padding, relu, batch, seed=0):
-        node = _conv_node(c_out, c_in, padding, relu, seed)
-        oh, ow = h + 2 * padding - 2, w + 2 * padding - 2
-        in_shape, out_shape = (c_in, h, w), (c_out, oh, ow)
-        rng = np.random.default_rng(seed + 1)
-        x = channels_last(rng.standard_normal((batch, *in_shape)).astype(np.float32))
-        x = np.ascontiguousarray(x)  # kernels read the plan's channels-last buffers
-        ref = _bind_conv(node, in_shape, out_shape, Arena())({"x": x})
-        got = bind_winograd_conv(node, in_shape, out_shape, Arena())({"x": x})
-        np.testing.assert_allclose(got, ref, atol=5e-5, rtol=1e-5)
-
-    @_relaxed
-    @given(c_out=st.sampled_from((1, 4, 9)), c_in=st.sampled_from((1, 3, 8)),
-           h=st.integers(3, 26), w=st.integers(3, 26),
-           padding=st.sampled_from((0, 1)), relu=st.booleans(),
-           batch=st.sampled_from((1, 3)), seed=st.integers(0, 99))
-    def test_fuzzed_geometries(self, c_out, c_in, h, w, padding, relu, batch, seed):
-        self._compare(c_out, c_in, h, w, padding, relu, batch, seed)
-
-    @pytest.mark.parametrize("hw", [HW, 25])
-    def test_deployment_tile_and_odd_neighbor(self, hw):
-        """24x24 (even tiles) and 25x25 (bottom/right crop) both match."""
-        self._compare(c_out=16, c_in=8, h=hw, w=hw, padding=1, relu=True, batch=2)
-
-    def test_eligibility(self):
-        assert winograd_eligible({"kernel": 3, "stride": 1})
-        assert not winograd_eligible({"kernel": 3, "stride": 2})
-        assert not winograd_eligible({"kernel": 7, "stride": 1})
-
-
 class TestIntegerPlanCertification:
     """The all-integer compiled plan vs the fp32 interpreted reference."""
 
@@ -231,11 +180,6 @@ class TestIntegerPlanCertification:
     def test_forcing_unknown_variant_raises(self, calibrated_proto):
         with pytest.raises(ValueError, match="variant"):
             compile_plan(calibrated_proto, variants={"conv1": "conv.fft.f32"})
-
-    def test_forcing_winograd_on_strided_conv_raises(self, calibrated_proto):
-        # conv1 is the stride-2 stem: not F(2x2, 3x3) eligible.
-        with pytest.raises(ValueError):
-            compile_plan(calibrated_proto, variants={"conv1": WINOGRAD_VARIANT})
 
     def test_forcing_int8_without_calibration_raises(self):
         proto = proto_from_bytes(export_quantized_model(_model(), input_hw=(HW, HW)))
@@ -279,92 +223,35 @@ class TestLazyWeightInvariant:
 
 
 class TestAutotune:
-    def test_decisions_are_registry_members_and_cache_replays(self, calibrated_proto, tmp_path):
-        cache = tmp_path / "autotune.json"
-        first = autotune_variants(calibrated_proto, batch=2, rounds=1, cache_path=cache)
-        assert not first.cached and first.variants
-        for name, row in first.table.items():
-            assert row["chosen"] in KERNEL_VARIANTS[row["op_type"]]
-            assert row["chosen"] == first.variants[name]
-            assert set(row["timings_us"]) >= {row["chosen"]}
-        second = autotune_variants(calibrated_proto, batch=2, rounds=1, cache_path=cache)
-        assert second.cached and second.variants == first.variants
-        # A different batch is a different cache key (crossovers move).
-        other = autotune_variants(calibrated_proto, batch=4, rounds=1, cache_path=cache)
-        assert not other.cached
-        # Every row that timed an int8 kernel names the implementation.
-        impl = native.implementation()
-        assert all(row.get("int8_impl") == impl for row in first.table.values()
-                   if any(v.endswith(".int8") for v in row["timings_us"]))
-        # The tuned plan compiles and runs.
-        plan = compile_plan(calibrated_proto, variants=first.variants)
-        out = plan.run(np.zeros((2, 5, HW, HW), np.float32))
-        assert out.shape == (2, 2)
+    """The int8-or-fp32 rule: it reads which int8 kernels loaded, not a clock."""
 
-    def test_decisions_timed_on_another_int8_implementation_are_a_miss(
-            self, calibrated_proto, tmp_path):
-        """Decisions timed on the NumPy int8 kernels (fp32 wins every layer
-        there) must not replay once native kernels load, and vice versa."""
-        cache = tmp_path / "autotune.json"
-        with mock.patch.object(native, "load", return_value=None):
-            numpy_tuned = autotune_variants(calibrated_proto, batch=2, rounds=1, cache_path=cache)
-        assert not numpy_tuned.cached
-        assert all(row["int8_impl"] == "numpy" for row in numpy_tuned.table.values()
-                   if "int8_impl" in row)
+    @staticmethod
+    def _conv_gemm(plan):
+        return {name: v for name, v in plan.kernel_variants().items()
+                if v.startswith(("conv.", "gemm."))}
+
+    def test_native_kernels_keep_every_int8_default(self, calibrated_proto):
         if native.load() is None:
             _skip_without_native()
-        tuned = autotune_variants(calibrated_proto, batch=2, rounds=1, cache_path=cache)
-        assert not tuned.cached
-        assert {row.get("int8_impl") for row in tuned.table.values()} >= {"native"}
-        # Both entries now live side by side in one cache file.
-        assert len(json.loads(cache.read_text())) == 2
+        tune = autotune_variants(calibrated_proto)
+        assert tune.variants == {}
+        leads = self._conv_gemm(compile_plan(calibrated_proto, variants=tune.variants))
+        assert leads and all(v.endswith(".int8") for v in leads.values()), leads
 
-    def test_corrupt_cache_is_a_miss_and_heals(self, calibrated_proto, tmp_path):
-        """An unreadable cache file must not crash tuning — it re-tunes
-        and atomically rewrites a valid store over the garbage."""
-        cache = tmp_path / "autotune.json"
-        cache.write_text("not json{{{")
-        res = autotune_variants(calibrated_proto, batch=2, rounds=1, cache_path=cache)
-        assert not res.cached and res.variants
-        again = autotune_variants(calibrated_proto, batch=2, rounds=1, cache_path=cache)
-        assert again.cached and again.variants == res.variants
+    def test_numpy_kernels_force_every_conv_and_gemm_to_fp32(self, calibrated_proto):
+        with _numpy_kernels():
+            tune = autotune_variants(calibrated_proto)
+            plan = compile_plan(calibrated_proto, variants=tune.variants)
+        leads = self._conv_gemm(plan)
+        assert leads and all(v.endswith(".f32") for v in leads.values()), leads
+        assert set(tune.variants) == set(leads)
+        # The whole chain re-forms in fp32: no int8 epilogue is left.
+        assert all(v.endswith(".f32") for v in plan.kernel_variants().values())
 
-    def test_cache_determinism_across_processes(self, calibrated_proto, tmp_path):
-        """A second *process* sharing the cache compiles the same variant map."""
-        cache = tmp_path / "autotune.json"
-        local = autotune_variants(calibrated_proto, batch=2, rounds=1, cache_path=cache)
-        script = f"""
-import json
-import numpy as np
-from repro.deploy import autotune_variants
-from repro.nn import SearchableResNet18
-from repro.onnxlite.reader import proto_from_bytes
-from repro.onnxlite.schema import TensorProto
-from repro.quant.affine import AffineQuantizer
-from repro.quant.calibrate import calibrate_activations
-from repro.quant.export import export_quantized_model
-
-model = SearchableResNet18(in_channels=5, kernel_size=3, stride=2, padding=1,
-                           pool_choice=0, initial_output_feature=32, seed=3)
-proto = proto_from_bytes(export_quantized_model(model, input_hw=({HW}, {HW})))
-rng = np.random.default_rng(103)
-calibrate_activations(proto, rng.standard_normal((12, 5, {HW}, {HW})).astype(np.float32))
-res = autotune_variants(proto, batch=2, rounds=1, cache_path={str(cache)!r})
-print(json.dumps({{"cached": res.cached, "variants": res.variants}}))
-"""
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        # The sibling finds the same compiler and library cache, so it binds
-        # the same int8 kernels, which the cache key names.
-        env = {"PYTHONPATH": src, "PATH": os.environ.get("PATH", "/usr/bin:/bin"),
-               **{k: os.environ[k] for k in ("HOME", "XDG_CACHE_HOME") if k in os.environ}}
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                              text=True, env=env)
-        assert proc.returncode == 0, proc.stderr
-        remote = json.loads(proc.stdout.strip().splitlines()[-1])
-        # Same model + same calibration stream -> same fingerprint -> the
-        # sibling process replays the cached decisions verbatim.
-        assert remote["cached"] is True
-        assert remote["variants"] == local.variants
+    def test_repeated_calls_return_one_map(self, calibrated_proto):
+        maps = {tuple(sorted(autotune_variants(calibrated_proto, batch=b).variants.items()))
+                for b in (1, 1, 4, 16)}
+        assert len(maps) == 1
 
 
 # --------------------------------------------------------------------------

@@ -42,7 +42,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.deploy import (
     ConcurrentPlanError,
-    autotune_variants,
     compile_plan,
     load_runtime,
     plan_weight_arrays,
@@ -672,19 +671,23 @@ class TestProcessServer:
         assert stats["worker_private_weight_bytes"] == 0
         assert stats["worker_deaths"] == 0 and not stats["degraded"]
 
-    @pytest.mark.parametrize("tuned", [True, False], ids=["autotuned", "all-int8"])
-    def test_process_mode_shares_int8_weights(self, tuned):
+    @pytest.mark.parametrize("variants", [{"conv1": "conv.im2col.f32", "fc": "gemm.f32"}, None],
+                             ids=["mixed", "all-int8"])
+    def test_process_mode_shares_int8_weights(self, variants):
         """An int8 plan's integer weights (packed codes and epilogue
         vectors, or the NumPy kernels' code matrices) ride the shared
         segment: workers copy no weight bytes and serve the thread-mode
-        rows bit for bit.  The autotuned plan keeps int8 only where int8
-        measured faster; the default plan is int8 on every layer."""
+        rows bit for bit.  The mixed plan runs the stem and ``fc`` in
+        fp32 and the rest int8, so fp32 and int8 weights share one
+        segment; the default plan is int8 on every layer."""
         proto = proto_from_bytes(export_quantized_model(_model(), input_hw=(HW, HW)))
         calibrate_activations(proto, _images(12, seed=43))
-        variants = autotune_variants(proto, batch=4, rounds=1).variants if tuned else None
         int8_plan = compile_plan(proto, variants=variants, poison=True)
-        assert tuned or all(v.endswith((".int8", ".u8"))
-                            for v in int8_plan.kernel_variants().values())
+        bound = set(int8_plan.kernel_variants().values())
+        if variants:
+            assert {"conv.im2col.f32", "gemm.f32", "conv.im2col.int8"} <= bound
+        else:
+            assert all(v.endswith((".int8", ".u8")) for v in bound)
         kw = dict(max_batch_size=4, max_queue_delay_ms=2.0, max_queue_depth=64, replicas=1)
         images = _images(6, seed=44)
         with PlanServer(int8_plan, ServeConfig(policy=BatchPolicy(**kw), cpus=2)) as server:
