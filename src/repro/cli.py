@@ -346,6 +346,7 @@ def _cmd_infer(args: argparse.Namespace) -> int:
           f"{best * 1e3:.2f} ms ({args.batch / best:.1f} images/sec)")
     print(f"logits[0]: {np.array2string(out[0], precision=4)}")
     if args.quantized:
+        print(f"kernels: {native.status()}")
         _print_variant_energy_table(model, args.size, plan)
     return 0
 

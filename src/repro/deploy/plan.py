@@ -3,8 +3,9 @@
 :func:`compile_plan` lowers a :class:`~repro.onnxlite.schema.ModelProto`
 through the pass pipeline of :mod:`repro.deploy.passes` and binds every
 fused operator to a concrete closure at compile time (NumPy, except that
-int8 Conv/Gemm/Add call the native VNNI kernels of
-:mod:`repro.deploy.native` wherever that library loads):
+every conv's pad + im2col front end and the int8 Conv/Gemm/Add call the
+native kernels of :mod:`repro.deploy.native` wherever that library
+loads):
 
 - **no per-call dispatch** — each step is a closure with its weights,
   geometry, and GEMM matrices captured as locals (BatchNorm already
@@ -251,6 +252,30 @@ def _im2col_into(cols: np.ndarray, xp: np.ndarray, kernel: int, stride: int) -> 
     return cols
 
 
+def _native_gather(lib, **geometry):
+    """``gather(x, cols)``: the native front end of one conv (``qn_gather``).
+
+    ``geometry`` fills a :class:`~repro.deploy.native.Conv`.  ``x`` is any
+    strided ``(N, H, W, C)`` view (or an ``(N, K)`` Gemm input), read in
+    place; ``cols`` receives one row per output position and is returned.
+    A quantizing gather rounds each row in a float32 scratch row of its
+    own: a plan runs one step at a time, and replicas bind their own.
+    """
+    conv = native.Conv(**geometry)
+    quantizing = conv.in_size == 4 and conv.out_size == 1
+    scratch = np.empty(conv.kernel * conv.kernel * conv.c if quantizing else 0, np.float32)
+    conv.scratch = scratch.ctypes.data if quantizing else None
+    ref = ctypes.byref(conv)
+
+    def gather(x: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        sn, sh, sw, sc = x.strides if x.ndim == 4 else (x.strides[0], 0, 0, x.strides[1])
+        lib.qn_gather(ref, x.ctypes.data, x.shape[0], sn, sh, sw, sc, cols.ctypes.data)
+        return cols
+
+    gather.buffers = (conv, scratch)  # native code reads them via ``ref``
+    return gather
+
+
 def _bind_conv(node: PlanNode, in_shape, out_shape, arena: Arena):
     """Bind a (fused) Conv to the position-major im2col kernel.
 
@@ -259,7 +284,10 @@ def _bind_conv(node: PlanNode, in_shape, out_shape, arena: Arena):
     ``@ (k·k·C, C_out)`` GEMM writes the ``(N, OH, OW, C_out)`` output
     directly, and bias and ReLU run over that contiguous buffer.  Each
     output row depends only on its own sample, so a batched run returns
-    per image what a single-image run does, up to BLAS blocking.
+    per image what a single-image run does, up to BLAS blocking.  The
+    gather is native (``qn_gather``) where :func:`repro.deploy.native.load`
+    returns the library, and :func:`_pad_into` + :func:`_im2col_into`
+    otherwise; both give the same columns.
     """
     c_in, h, w = in_shape
     c_out, oh, ow = out_shape
@@ -272,19 +300,32 @@ def _bind_conv(node: PlanNode, in_shape, out_shape, arena: Arena):
     in_name = node.inputs[0]
     k_dim = kernel * kernel * c_in
 
+    lib = native.load()
+    if lib is not None:
+        gather = _native_gather(lib, h=h, w=w, c=c_in, kernel=kernel, stride=stride,
+                                pad=padding, oh=oh, ow=ow, in_size=4, out_size=4,
+                                row=4 * k_dim)
+
+        def columns(x: np.ndarray) -> np.ndarray:
+            return gather(x, arena.acquire((x.shape[0] * oh * ow, k_dim)))
+    else:
+        def columns(x: np.ndarray) -> np.ndarray:
+            n = x.shape[0]
+            if padding:
+                xp = _pad_into(arena.acquire((n, h + 2 * padding, w + 2 * padding, c_in)),
+                               x, padding, 0.0)
+            else:
+                xp = x
+            cols = arena.acquire((n * oh * ow, k_dim))
+            _im2col_into(cols.reshape(n, oh, ow, kernel, kernel, c_in), xp, kernel, stride)
+            if padding:
+                arena.release(xp)
+            return cols
+
     def run(env: dict[str, np.ndarray]) -> np.ndarray:
-        x = env[in_name]
-        n = x.shape[0]
-        if padding:
-            xp = _pad_into(arena.acquire((n, h + 2 * padding, w + 2 * padding, c_in)),
-                           x, padding, 0.0)
-        else:
-            xp = x
-        cols = _im2col_into(arena.acquire((n, oh, ow, kernel, kernel, c_in)), xp, kernel, stride)
-        if padding:
-            arena.release(xp)
-        out = arena.acquire((n, oh, ow, c_out))
-        np.matmul(cols.reshape(-1, k_dim), w_mat, out=out.reshape(-1, c_out))
+        cols = columns(env[in_name])
+        out = arena.acquire((cols.shape[0] // (oh * ow), oh, ow, c_out))
+        np.matmul(cols, w_mat, out=out.reshape(-1, c_out))
         arena.release(cols)
         if bias is not None:
             out += bias
@@ -555,6 +596,7 @@ def _native_layer(node: PlanNode, s_in: float, zp_in: int, k: int, n: int) -> na
         bias=None if q_bias is None else q_bias.ctypes.data, m0=m0, rnd=rnd, total=total,
         k=k, n=n, zp_out=zp_out, lo=zp_out if node.relu else 0,
         out_kind=native.OUT_F32 if q_out is None else native.OUT_U8, relu=int(node.relu),
+        amx=int(native.engine() == "amx"),
     )
     layer.arrays = (packed, q_f64, q_i64, q_bias)  # native code reads them via the layer
     return layer
@@ -572,10 +614,13 @@ def _bind_qconv(node: PlanNode, in_shape, out_shape, arena: Arena, in_form: str)
     weights by :func:`repro.deploy.passes.fold_batch_norm`; fused ReLU
     rides the epilogue.
 
-    The GEMM and its epilogue run natively (:mod:`repro.deploy.native`:
-    VNNI over uint8 columns, epilogue fused) when the library loaded,
-    and otherwise as the chunked float32-carrier GEMM of
-    :mod:`repro.deploy.qkernels` plus :func:`_make_int_epilogue`; both
+    When the library loaded, all of it runs natively
+    (:mod:`repro.deploy.native`): one gather writes K-padded uint8
+    column rows (quantizing float32 input on the way), and the GEMM runs
+    on AMX tiles or VNNI with the epilogue fused.  Otherwise the front
+    end is :func:`quantize_into` + :func:`_pad_into` + :func:`_im2col_into`
+    and the GEMM the chunked float32-carrier GEMM of
+    :mod:`repro.deploy.qkernels` plus :func:`_make_int_epilogue`.  All
     produce the same bits.
     """
     c_in, h, w = in_shape
@@ -588,8 +633,28 @@ def _bind_qconv(node: PlanNode, in_shape, out_shape, arena: Arena, in_form: str)
     in_name = node.inputs[0]
     k_dim = kernel * kernel * c_in
 
-    def columns(x: np.ndarray, dtype) -> np.ndarray:
-        """The ``(N, OH, OW, k, k, C)`` im2col of the input codes, as ``dtype``."""
+    lib = native.load()
+    if lib is not None:
+        kp = native.column_stride(k_dim)
+        gather = _native_gather(lib, h=h, w=w, c=c_in, kernel=kernel, stride=stride,
+                                pad=padding, oh=oh, ow=ow, in_size=1 if in_form == "u8" else 4,
+                                out_size=1, row=kp, scale=s_in, zp=zp_in)
+        layer = ctypes.byref(_native_layer(node, s_in, zp_in, k_dim, c_out))
+        out_dtype = np.float32 if node.qconfig["output"] is None else np.uint8
+
+        def run(env: dict[str, np.ndarray]) -> np.ndarray:
+            x = env[in_name]
+            n = x.shape[0]
+            cols = gather(x, arena.acquire((n * oh * ow, kp), np.uint8))
+            out = arena.acquire((n, oh, ow, c_out), out_dtype)
+            lib.qn_gemm(layer, cols.ctypes.data, n * oh * ow, out.ctypes.data)
+            arena.release(cols)
+            return out
+
+        return run
+
+    def columns(x: np.ndarray) -> np.ndarray:
+        """The ``(N, OH, OW, k, k, C)`` im2col of the input codes, as float32."""
         n = x.shape[0]
         if in_form == "u8":
             codes = x
@@ -606,26 +671,11 @@ def _bind_qconv(node: PlanNode, in_shape, out_shape, arena: Arena, in_form: str)
                 arena.release(codes)
         else:
             xp = codes
-        cols = _im2col_into(arena.acquire((n, oh, ow, kernel, kernel, c_in), dtype),
+        cols = _im2col_into(arena.acquire((n, oh, ow, kernel, kernel, c_in), np.float32),
                             xp, kernel, stride)
         if padding or in_form != "u8":
             arena.release(xp)
         return cols
-
-    lib = native.load()
-    if lib is not None:
-        layer = ctypes.byref(_native_layer(node, s_in, zp_in, k_dim, c_out))
-        out_dtype = np.float32 if node.qconfig["output"] is None else np.uint8
-
-        def run(env: dict[str, np.ndarray]) -> np.ndarray:
-            cols = columns(env[in_name], np.uint8)
-            n = cols.shape[0]
-            out = arena.acquire((n, oh, ow, c_out), out_dtype)
-            lib.qn_gemm(layer, cols.ctypes.data, n * oh * ow, out.ctypes.data)
-            arena.release(cols)
-            return out
-
-        return run
 
     w_mat, s_w, col_sums = _quantized_codes_matrix(node)
     finish = _make_int_epilogue(node, s_in, s_w, arena)
@@ -634,7 +684,7 @@ def _bind_qconv(node: PlanNode, in_shape, out_shape, arena: Arena, in_form: str)
     def run(env: dict[str, np.ndarray]) -> np.ndarray:
         # im2col straight into integer-valued float32 (the cast fuses
         # into the gather copy; K-panels then slice with no copy).
-        cols = columns(env[in_name], np.float32)
+        cols = columns(env[in_name])
         n = cols.shape[0]
         acc = arena.acquire((n, oh, ow, c_out), np.float64)
         part = arena.acquire((n, oh, ow, c_out))
@@ -658,23 +708,20 @@ def _bind_qgemm(node: PlanNode, in_shape, out_shape, arena: Arena, in_form: str)
 
     lib = native.load()
     if lib is not None:
+        kp = native.column_stride(k_in)
+        gather = _native_gather(lib, h=1, w=1, c=k_in, kernel=1, stride=1, pad=0, oh=1, ow=1,
+                                in_size=1 if in_form == "u8" else 4, out_size=1, row=kp,
+                                scale=s_in, zp=zp_in)
         layer = ctypes.byref(_native_layer(node, s_in, zp_in, k_in, out_features))
         out_dtype = np.float32 if node.qconfig["output"] is None else np.uint8
 
         def run(env: dict[str, np.ndarray]) -> np.ndarray:
             x = env[in_name]
             n = x.shape[0]
-            if in_form == "u8":
-                codes = np.ascontiguousarray(x)
-            else:
-                codes = arena.acquire((n, k_in), np.uint8)
-                scratch = arena.acquire((n, k_in))
-                quantize_into(x, s_in, zp_in, codes, scratch)
-                arena.release(scratch)
+            cols = gather(x, arena.acquire((n, kp), np.uint8))
             out = arena.acquire((n, out_features), out_dtype)
-            lib.qn_gemm(layer, codes.ctypes.data, n, out.ctypes.data)
-            if in_form != "u8":
-                arena.release(codes)
+            lib.qn_gemm(layer, cols.ctypes.data, n, out.ctypes.data)
+            arena.release(cols)
             return out
 
         return run
@@ -926,7 +973,7 @@ class AutotuneResult:
 def autotune_variants(proto: ModelProto, batch: int = 1) -> AutotuneResult:
     """Choose int8 or fp32 Conv/Gemm kernels by which int8 kernels loaded.
 
-    Where the native VNNI library of :mod:`repro.deploy.native` loaded,
+    Where the native library of :mod:`repro.deploy.native` loaded,
     no layer is overridden, so :func:`compile_plan`'s int8 default on
     calibrated layers stands.  Otherwise every Conv and Gemm is forced
     to its fp32 variant: the NumPy int8 kernels run the same float32

@@ -55,13 +55,13 @@ ENERGY_MODELS: dict[str, EnergyModel] = {
 class VariantCostFactors:
     """TEA-DNN-style scaling of a kernel's energy terms under one variant.
 
-    Multiplies the baseline (fp32 im2col) cost features: ``flops`` is
-    the arithmetic-count ratio, ``bytes`` the memory-traffic ratio, and
-    ``pj_per_flop`` the per-operation energy ratio (int8 MACs cost a
-    fraction of an fp32 FMA on silicon with integer dot-product units).
+    Multiplies the baseline (fp32 im2col) cost features: ``bytes`` is the
+    memory-traffic ratio and ``pj_per_flop`` the per-operation energy
+    ratio (int8 MACs cost a fraction of an fp32 FMA on silicon with
+    integer dot-product units).  Every variant performs the baseline's
+    arithmetic count, so the FLOPs are not scaled.
     """
 
-    flops: float = 1.0
     bytes: float = 1.0
     pj_per_flop: float = 1.0
 
@@ -125,7 +125,7 @@ def kernel_energy_mj(
         )
     f = VARIANT_COST_FACTORS[variant]
     pj = (
-        kernel.flops * f.flops * model.pj_per_flop * f.pj_per_flop
+        kernel.flops * model.pj_per_flop * f.pj_per_flop
         + kernel.memory_bytes * f.bytes * model.pj_per_byte
     )
     return pj / 1e9

@@ -132,6 +132,7 @@ class TestCommands:
         assert main(["infer", "--batch", "4", "--runs", "1", *base]) == 0
         out = capsys.readouterr().out
         assert "int8 layers" in out and "Kernel variants & estimated energy" in out
+        assert f"kernels: {native.status()}" in out  # names the int8 GEMM engine
         assert "energy/inference" in out
 
         serving = tmp_path / "serving.json"

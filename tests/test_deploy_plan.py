@@ -8,8 +8,8 @@ its static release schedule must never free a buffer that is still read
 (guarded by NaN-poisoning released arena slots in debug mode).  Each conv
 kernel (fp32 im2col, int8) is forced in turn at batch 1, 3 and 16, the
 int8 conv's channels-last accumulator is checked against an int64
-reference, and a plan on the native int8 kernels must give the NumPy
-int8 plan's output bits.
+reference, and a plan on the native int8 kernels (AMX tiles or VNNI)
+must give the NumPy int8 plan's output bits.
 """
 
 from unittest import mock
@@ -186,7 +186,9 @@ class TestEquivalence:
     def test_native_int8_plan_matches_numpy_int8_plan(self, size):
         """Every conv forced to int8: the native plan's outputs are the NumPy
         int8 plan's, bit for bit, at every batch size (100 is the paper
-        winner's 100x100 patch)."""
+        winner's 100x100 patch), with the int8 GEMM on each engine this
+        host runs: AMX tiles where granted, and VNNI (forced on an AMX host
+        by patching the loader's decision)."""
         if native.load() is None:
             reason = f"native int8 kernels unavailable: {native.status()}"
             print(reason)
@@ -194,12 +196,14 @@ class TestEquivalence:
         proto = proto_from_bytes(export_quantized_model(_model(), input_hw=(size, size)))
         calibrate_activations(proto, _batches(size, seed=1)[-1])
         forced = _conv_variants(proto, "conv.im2col.int8")
-        plan = compile_plan(proto, poison=True, variants=forced)
         with mock.patch.object(native, "load", return_value=None):
             reference = compile_plan(proto, poison=True, variants=forced)
-        assert plan.kernel_variants() == reference.kernel_variants()
-        for x in _batches(size):
-            np.testing.assert_array_equal(plan.run(x), reference.run(x))
+        for engine in ("amx", "vnni") if native.engine() == "amx" else ("vnni",):
+            with mock.patch.object(native, "engine", return_value=engine):
+                plan = compile_plan(proto, poison=True, variants=forced)
+            assert plan.kernel_variants() == reference.kernel_variants()
+            for x in _batches(size):
+                np.testing.assert_array_equal(plan.run(x), reference.run(x))
 
     def test_int8_conv_accumulator_matches_int64_reference(self):
         """The channels-last int8 conv accumulates exactly.

@@ -224,6 +224,29 @@ class TestKernelVariantRegistry:
         with pytest.raises(KeyError):
             kernel_energy_mj(kernel, "cortexA76cpu", "conv.fft.f32")
 
+    def test_winner_energy_bits_on_every_device(self):
+        """The 100x100 winner's energy, all-fp32 and with every kernel on its
+        quantized variant, on each device: the same float64 bits as when the
+        variant table also carried a FLOPs factor (1.0 in every row)."""
+        from repro.latency import ENERGY_MODELS, KERNEL_VARIANTS, estimate_energy_mj
+        from repro.latency.energy import _KERNEL_TYPE_LEAD
+
+        model = SearchableResNet18(in_channels=5, kernel_size=3, stride=2, padding=1,
+                                   pool_choice=0, initial_output_feature=32)
+        graph = trace_model(model, input_hw=(100, 100))
+        int8 = {k.name: KERNEL_VARIANTS[_KERNEL_TYPE_LEAD[k.kernel_type]][-1]
+                for k in extract_kernels(graph)}
+        expected = {  # (fp32, int8) as float.hex()
+            "adreno630gpu": ("0x1.84a650137278bp+1", "0x1.858aeea2f2b9ap-1"),
+            "adreno640gpu": ("0x1.5f97eb9b95777p+1", "0x1.6066d0a33e5a9p-1"),
+            "cortexA76cpu": ("0x1.047599057adaap+2", "0x1.059a5af2a388fp+0"),
+            "myriadvpu": ("0x1.287160ab9a459p+1", "0x1.2bbfc1b57636dp-1"),
+        }
+        assert set(expected) == set(ENERGY_MODELS)
+        for device, (fp32, quantized) in expected.items():
+            assert estimate_energy_mj(graph, device).hex() == fp32
+            assert estimate_energy_mj(graph, device, int8).hex() == quantized
+
     def test_energy_report_rows_match_kernels(self):
         from repro.latency import energy_report
 

@@ -16,19 +16,30 @@ variant registry:
   one map however often it is called;
 - the quantized path materializes zero dequantized fp32 weight copies
   (the lazy-weight invariant);
-- the native VNNI kernels (:mod:`repro.deploy.native`) accumulate
-  exactly and produce the NumPy int8 kernels' output bits over fuzzed
-  conv, Gemm and Add geometries; with the loader returning ``None`` the
-  plan binds the NumPy kernels; the built library is cached and a
-  truncated one is rebuilt.  Native tests skip, printing the loader's
-  reason, on hosts without a compiler or VNNI.
+- the native kernels (:mod:`repro.deploy.native`): the fused pad +
+  im2col gather gives the NumPy front end's columns bit for bit (float32,
+  uint8 and quantizing, from contiguous and NCHW-view input); both int8
+  GEMM engines (AMX tiles and VNNI, VNNI forced on an AMX host by
+  patching the loader's decision) accumulate exactly and produce the
+  NumPy int8 kernels' output bits over fuzzed conv, Gemm and Add
+  geometries and every M, K and C_out tail; no kernel reads or writes
+  past a buffer (sentinels, and fenced pages in a child process); two
+  thread replicas give the serial bits; with the loader returning
+  ``None`` the plan binds the NumPy kernels; the built library is cached
+  and a truncated one is rebuilt.  Native tests skip, printing the
+  loader's reason, on hosts without a compiler or VNNI, and AMX tests
+  on hosts without AMX.
 """
 
 import ctypes
+import errno
+import itertools
 import os
 import shutil
 import subprocess
 import sys
+import textwrap
+import threading
 from pathlib import Path
 from unittest import mock
 
@@ -40,14 +51,20 @@ from repro.deploy import autotune_variants, compile_plan, native
 from repro.deploy.passes import PlanNode
 from repro.deploy.plan import (
     Arena,
+    _bind_conv,
     _bind_qadd,
     _bind_qconv,
     _bind_qgemm,
+    _im2col_into,
+    _native_gather,
     _native_layer,
+    _pad_into,
+    channels_last,
 )
 from repro.deploy.qkernels import (
     K_CHUNK,
     chunked_int_gemm,
+    quantize_into,
     quantize_multiplier,
     quantize_multipliers,
     requantize,
@@ -255,14 +272,16 @@ class TestAutotune:
 
 
 # --------------------------------------------------------------------------
-# native VNNI kernels vs the NumPy int8 kernels
+# native kernels (AMX tiles, VNNI) vs the NumPy kernels
 # --------------------------------------------------------------------------
+
+def _skip(reason: str):
+    print(reason)
+    pytest.skip(reason)
 
 
 def _skip_without_native():
-    reason = f"native int8 kernels unavailable: {native.status()}"
-    print(reason)
-    pytest.skip(reason)
+    _skip(f"native kernels unavailable: {native.status()}")
 
 
 @pytest.fixture(scope="module")
@@ -273,20 +292,51 @@ def native_lib():
     return lib
 
 
+def _engines() -> tuple[str, ...]:
+    """The native int8 GEMM engines this host runs, each compared with
+    NumPy: AMX tiles where the loader granted them, and VNNI (forced on an
+    AMX host by patching the loader's decision)."""
+    return ("amx", "vnni") if native.engine() == "amx" else ("vnni",)
+
+
 def _numpy_kernels():
     """Bind as on a host where the native library did not load."""
-    return mock.patch.object(native, "load", return_value=None)
+    return _on("numpy")
 
 
-def _native_s32(lib, a: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """``a (M, K) uint8 @ w (K, N) int8`` as the native int32 accumulators."""
+def _on(engine: str):
+    """Bind as on a host whose int8 GEMM runs on ``engine``: VNNI on an AMX
+    host by patching the loader's decision, NumPy by a loader returning None."""
+    if engine == "numpy":
+        return mock.patch.object(native, "load", return_value=None)
+    return mock.patch.object(native, "engine", return_value=engine)
+
+
+def _poisoned_arena() -> Arena:
+    """A poison arena whose first buffers already hold 0xFF bytes, so a
+    kernel reading bytes it never wrote (column padding included) shows."""
+    arena = Arena(poison=True)
+    for _ in range(4):
+        arena.release(arena.acquire((1 << 20,), np.uint8))
+    return arena
+
+
+def _native_s32(lib, a: np.ndarray, w: np.ndarray, engine: str) -> np.ndarray:
+    """``a (M, K) uint8 @ w (K, N) int8`` as the native int32 accumulators.
+
+    The column rows carry 0xFF in their K padding: the packed weights
+    there are zero, so no padding byte may reach a sum.
+    """
+    m, k = a.shape
+    cols = np.full((m, native.column_stride(k)), 255, np.uint8)
+    cols[:, :k] = a
     packed = native.pack_weights(w)
     zeros = np.zeros(16 * packed.shape[0])
     layer = native.Layer(w=packed.ctypes.data, zp_term=zeros.ctypes.data,
-                         f64=zeros.ctypes.data, k=w.shape[0], n=w.shape[1],
-                         out_kind=native.OUT_S32)
-    out = np.empty((a.shape[0], w.shape[1]), np.int32)
-    lib.qn_gemm(ctypes.byref(layer), a.ctypes.data, a.shape[0], out.ctypes.data)
+                         f64=zeros.ctypes.data, k=k, n=w.shape[1],
+                         out_kind=native.OUT_S32, amx=int(engine == "amx"))
+    out = np.empty((m, w.shape[1]), np.int32)
+    lib.qn_gemm(ctypes.byref(layer), cols.ctypes.data, m, out.ctypes.data)
     return out
 
 
@@ -319,26 +369,105 @@ def _input(rng, shape, in_form):
     return (rng.standard_normal(shape) * 3).astype(np.float32)
 
 
-def _both(bind, x):
-    """Run one node bound natively and bound to the NumPy kernels."""
-    got = bind(Arena(poison=True))({"x": x})
-    with _numpy_kernels():
-        ref = bind(Arena(poison=True))({"x": x})
-    return got, ref
+def _bound_outputs(bind, x) -> dict[str, np.ndarray]:
+    """One node's output bound to each native engine and to NumPy."""
+    outputs = {}
+    for engine in (*_engines(), "numpy"):
+        with _on(engine):
+            outputs[engine] = bind(_poisoned_arena())({"x": x})
+    return outputs
+
+
+def _front_end_reference(x, mode, kernel, stride, padding, scale, zp):
+    """The NumPy front end: ``(quantize_into +) _pad_into + _im2col_into``."""
+    n, h, w, c = x.shape
+    oh, ow = (h + 2 * padding - kernel) // stride + 1, (w + 2 * padding - kernel) // stride + 1
+    if mode == "quantize":
+        src = np.empty(x.shape, np.uint8)
+        quantize_into(x, scale, zp, src, np.empty(x.shape, np.float32))
+    else:
+        src = x
+    fill = 0.0 if mode == "f32" else zp
+    xp = src
+    if padding:
+        xp = _pad_into(np.empty((n, h + 2 * padding, w + 2 * padding, c), src.dtype),
+                       src, padding, fill)
+    cols = np.empty((n, oh, ow, kernel, kernel, c), src.dtype)
+    return _im2col_into(cols, xp, kernel, stride).reshape(n * oh * ow, -1)
+
+
+def _native_front_end(lib, x, mode, kernel, stride, padding, scale, zp, sentinel=0xA5):
+    """The native gather into a sentinel-fenced column buffer:
+    ``(columns as the reference's dtype, K padding bytes, tail bytes)``."""
+    n, h, w, c = x.shape
+    oh, ow = (h + 2 * padding - kernel) // stride + 1, (w + 2 * padding - kernel) // stride + 1
+    k_dim = kernel * kernel * c
+    out_size = 4 if mode == "f32" else 1
+    row = 4 * k_dim if mode == "f32" else native.column_stride(k_dim)
+    m = n * oh * ow
+    buf = np.full(m * row + 256, sentinel, np.uint8)
+    gather = _native_gather(lib, h=h, w=w, c=c, kernel=kernel, stride=stride, pad=padding,
+                            oh=oh, ow=ow, in_size=x.itemsize, out_size=out_size, row=row,
+                            scale=scale, zp=zp)
+    gather(x, buf[: m * row].reshape(m, row))
+    rows = buf[: m * row].reshape(m, row)
+    cols = rows[:, : k_dim * out_size].copy().view(np.float32 if mode == "f32" else np.uint8)
+    return cols, rows[:, k_dim * out_size:], buf[m * row:]
 
 
 class TestNativeKernels:
     """The native kernels compute exactly what the NumPy kernels compute."""
 
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(c=st.integers(1, 20), kernel=st.sampled_from((1, 3, 5)), stride=st.sampled_from((1, 2)),
+           padding=st.integers(0, 3), hw=st.integers(5, 12), batch=st.sampled_from((1, 3, 16)),
+           mode=st.sampled_from(("f32", "u8", "quantize")), nchw=st.booleans(),
+           scale=st.sampled_from((0.5, 0.03125, 0.0713)), seed=st.integers(0, 2**16))
+    def test_gather_matches_numpy_front_end(self, native_lib, c, kernel, stride, padding, hw,
+                                            batch, mode, nchw, scale, seed):
+        """Columns, border fill and quantization bit for bit, from contiguous
+        channels-last input and from the channels-last view of an NCHW
+        batch (the model input), read in place.  Inputs on a 1/8 grid make
+        x / scale land on exact .5 ties (round half to even) and past both
+        clip limits."""
+        rng = np.random.default_rng(seed)
+        if mode == "u8":
+            logical = rng.integers(0, 256, size=(batch, c, hw, hw), dtype=np.uint8)
+        else:
+            logical = (rng.integers(-400, 400, size=(batch, c, hw, hw)) / 8).astype(np.float32)
+        x = (channels_last(logical) if nchw
+             else np.ascontiguousarray(channels_last(logical)))
+        zp = int(rng.integers(0, 256))
+        ref = _front_end_reference(x, mode, kernel, stride, padding, scale, zp)
+        got, pad, tail = _native_front_end(native_lib, x, mode, kernel, stride, padding,
+                                           scale, zp)
+        np.testing.assert_array_equal(got.view(np.uint8), ref.view(np.uint8))
+        assert (pad == 0).all() and (tail == 0xA5).all()
+
+    @pytest.mark.parametrize("mode", ["f32", "u8", "quantize"])
+    def test_gather_writes_stay_inside_the_columns(self, native_lib, mode):
+        """Every border case at once (kernel 5, padding 3, stride 2 over a
+        7x9 map): the bytes after the column buffer keep their sentinel,
+        whatever the sentinel."""
+        rng = np.random.default_rng(1)
+        shape = (3, 7, 9, 6)
+        x = (rng.integers(0, 256, size=shape, dtype=np.uint8) if mode == "u8"
+             else rng.standard_normal(shape).astype(np.float32))
+        for sentinel in (0x00, 0x5A, 0xFF):
+            _, _, tail = _native_front_end(native_lib, x, mode, 5, 2, 3, 0.05, 17, sentinel)
+            assert (tail == sentinel).all()
+
     @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(m=st.integers(1, 40), k=st.integers(1, 700), n=st.integers(1, 70),
+    @given(m=st.integers(1, 70), k=st.integers(1, 700), n=st.integers(1, 70),
            seed=st.integers(0, 2**16))
     def test_accumulators_match_int64_matmul(self, native_lib, m, k, n, seed):
+        """Every M % 16, K % 4, K % 64, C_out % 16 and C_out % 32 tail."""
         rng = np.random.default_rng(seed)
         a = rng.integers(0, 256, size=(m, k), dtype=np.uint8)
         w = rng.integers(-128, 128, size=(k, n)).astype(np.int8)
         ref = a.astype(np.int64) @ w.astype(np.int64)
-        np.testing.assert_array_equal(_native_s32(native_lib, a, w), ref)
+        for engine in _engines():
+            np.testing.assert_array_equal(_native_s32(native_lib, a, w, engine), ref)
 
     def test_accumulator_extremes(self, native_lib):
         """255 x -128 over K = 5,001 (not a multiple of 4) stays exact."""
@@ -346,8 +475,9 @@ class TestNativeKernels:
         a = np.full((7, k), 255, np.uint8)
         w = np.full((k, 19), -128, np.int8)
         w[:, 1] = 127
-        got = _native_s32(native_lib, a, w)
-        assert (got[:, 0] == -128 * 255 * k).all() and (got[:, 1] == 127 * 255 * k).all()
+        for engine in _engines():
+            got = _native_s32(native_lib, a, w, engine)
+            assert (got[:, 0] == -128 * 255 * k).all() and (got[:, 1] == 127 * 255 * k).all()
 
     @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(c_in=st.integers(1, 20), c_out=st.integers(1, 40), kernel=st.sampled_from((1, 3, 5)),
@@ -363,22 +493,42 @@ class TestNativeKernels:
                       relu, quantized_out, bias)
         oh = (hw + 2 * padding - kernel) // stride + 1
         x = _input(rng, (batch, hw, hw, c_in), in_form)
-        got, ref = _both(lambda arena: _bind_qconv(node, (c_in, hw, hw), (c_out, oh, oh),
-                                                   arena, in_form), x)
-        assert got.dtype == ref.dtype == (np.uint8 if quantized_out else np.float32)
-        np.testing.assert_array_equal(got, ref)
+        outputs = _bound_outputs(lambda arena: _bind_qconv(node, (c_in, hw, hw), (c_out, oh, oh),
+                                                           arena, in_form), x)
+        ref = outputs.pop("numpy")
+        assert ref.dtype == (np.uint8 if quantized_out else np.float32)
+        for got in outputs.values():
+            assert got.dtype == ref.dtype
+            np.testing.assert_array_equal(got, ref)
 
     @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(k=st.integers(1, 600), c_out=st.integers(1, 40), relu=st.booleans(),
            quantized_out=st.booleans(), bias=st.booleans(),
-           in_form=st.sampled_from(("u8", "f32")), batch=st.sampled_from((1, 3, 16)),
+           in_form=st.sampled_from(("u8", "f32")), batch=st.sampled_from((1, 3, 16, 17, 35)),
            seed=st.integers(0, 2**16))
     def test_gemm_bitwise_equal(self, native_lib, k, c_out, relu, quantized_out, bias,
                                 in_form, batch, seed):
         rng = np.random.default_rng(seed)
         node = _qnode("Gemm", rng, c_out, (k,), {}, relu, quantized_out, bias)
         x = _input(rng, (batch, k), in_form)
-        got, ref = _both(lambda arena: _bind_qgemm(node, (k,), (c_out,), arena, in_form), x)
+        outputs = _bound_outputs(
+            lambda arena: _bind_qgemm(node, (k,), (c_out,), arena, in_form), x)
+        ref = outputs.pop("numpy")
+        for got in outputs.values():
+            np.testing.assert_array_equal(got, ref)
+
+    def test_fp32_conv_binds_the_native_gather_with_the_same_outputs(self, native_lib):
+        """An fp32 conv over the NCHW model input: native gather and NumPy
+        front end feed the same GEMM the same columns."""
+        rng = np.random.default_rng(4)
+        node = PlanNode(name="c", op_type="Conv", inputs=["x"], output="y",
+                        attrs={"kernel": 3, "stride": 2, "padding": 1}, relu=True,
+                        weights={"weight": rng.standard_normal((8, 5, 3, 3)).astype(np.float32),
+                                 "bias": rng.standard_normal(8).astype(np.float32)})
+        x = channels_last(rng.standard_normal((3, 5, 11, 11)).astype(np.float32))
+        got = _bind_conv(node, (5, 11, 11), (8, 6, 6), _poisoned_arena())({"x": x})
+        with _on("numpy"):
+            ref = _bind_conv(node, (5, 11, 11), (8, 6, 6), _poisoned_arena())({"x": x})
         np.testing.assert_array_equal(got, ref)
 
     @pytest.mark.parametrize("relu", [False, True])
@@ -415,17 +565,20 @@ class TestNativeKernels:
         np.testing.assert_array_equal(out, ref)
 
     def test_writes_stay_inside_the_output(self, native_lib):
-        """Masked tails (19 channels, 5 rows, 189 add codes) write no byte
-        past the output: the bytes after it keep their sentinel."""
+        """Masked and short tiles (19 channels; 5 and 37 rows, so AMX runs a
+        2 x 2 block, a tail block of 5 rows and a single channel block)
+        write no byte past the output: the bytes after it keep their
+        sentinel."""
         rng = np.random.default_rng(0)
-        a = rng.integers(0, 256, size=(5, 45), dtype=np.uint8)
-        for quantized_out in (False, True):
+        for engine, rows, quantized_out in itertools.product(_engines(), (5, 37), (False, True)):
+            a = rng.integers(0, 256, size=(rows, native.column_stride(45)), dtype=np.uint8)
             node = _qnode("Gemm", rng, 19, (45,), {}, True, quantized_out, True)
             q_in = node.qconfig["input"]
-            layer = _native_layer(node, q_in.scale, q_in.zero_point, 45, 19)
-            out = np.full(5 * 19 + 64, 7, np.uint8 if quantized_out else np.float32)
-            native_lib.qn_gemm(ctypes.byref(layer), a.ctypes.data, 5, out.ctypes.data)
-            assert (out[5 * 19:] == 7).all()
+            with _on(engine):
+                layer = _native_layer(node, q_in.scale, q_in.zero_point, 45, 19)
+            out = np.full(rows * 19 + 64, 7, np.uint8 if quantized_out else np.float32)
+            native_lib.qn_gemm(ctypes.byref(layer), a.ctypes.data, rows, out.ctypes.data)
+            assert (out[rows * 19:] == 7).all()
         q = AffineQuantizer(scale=0.02, zero_point=3, dtype="uint8")
         node = PlanNode(name="add", op_type="Add", inputs=["a", "b"], output="y",
                         qconfig={"input": q, "input_b": q, "output": q})
@@ -434,6 +587,114 @@ class TestNativeKernels:
         target = codes[:189].reshape(b.shape)
         _bind_qadd(node, Arena(), "a")({"a": target, "b": b})
         assert (codes[189:] == 250).all()
+
+    def test_amx_engine_binds_where_the_loader_grants_it(self, native_lib):
+        """Where AMX tiles run, status names them and bound int8 layers run
+        on them; with the decision patched to VNNI the same node binds the
+        VNNI loop.  Skips, printing the loader's reason, without AMX."""
+        if native.engine() != "amx":
+            _skip(f"AMX tiles unavailable: {native.status()}")
+        assert native.status().startswith("native, AMX tiles + VNNI")
+        node = _qnode("Gemm", np.random.default_rng(0), 19, (45,), {}, True, True, True)
+        q_in = node.qconfig["input"]
+        for engine in _engines():
+            with _on(engine):
+                layer = _native_layer(node, q_in.scale, q_in.zero_point, 45, 19)
+            assert layer.amx == (engine == "amx")
+
+    def test_no_read_or_write_past_a_buffer(self, native_lib):
+        """Each input, column and output buffer ends at an inaccessible page:
+        a byte read or written past any of them on a tail (M % 16, K % 64,
+        C_out % 16, the border of the gather) kills the child process."""
+        script = textwrap.dedent("""
+            import ctypes, mmap
+            import numpy as np
+            from repro.deploy import native
+            from repro.deploy.plan import _native_gather
+            from tests.test_qkernels import _qnode
+            from repro.deploy.plan import _native_layer
+            libc = ctypes.CDLL(None, use_errno=True)
+            libc.mprotect.argtypes = [ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int]
+            keep = []
+
+            def fenced(shape, dtype):
+                nbytes = int(np.prod(shape)) * np.dtype(dtype).itemsize
+                pages = -(-nbytes // mmap.PAGESIZE) + 1
+                m = mmap.mmap(-1, pages * mmap.PAGESIZE)
+                base = ctypes.addressof(ctypes.c_char.from_buffer(m))
+                fence = base + (pages - 1) * mmap.PAGESIZE
+                assert libc.mprotect(fence, mmap.PAGESIZE, 0) == 0
+                keep.append(m)
+                arr = np.frombuffer(m, np.uint8, count=nbytes,
+                                    offset=(pages - 1) * mmap.PAGESIZE - nbytes)
+                return arr.view(dtype).reshape(shape)
+
+            lib = native.load()
+            rng = np.random.default_rng(0)
+            engines = ("amx", "vnni") if native.engine() == "amx" else ("vnni",)
+            for m, k, n in ((1, 45, 19), (17, 130, 33), (37, 64, 16), (50, 577, 48)):
+                kp = native.column_stride(k)
+                a = fenced((m, kp), np.uint8)
+                a[...] = rng.integers(0, 256, size=a.shape)
+                for engine in engines:
+                    native.engine = lambda: engine
+                    for quantized in (False, True):
+                        node = _qnode("Gemm", rng, n, (k,), {}, True, quantized, True)
+                        q = node.qconfig["input"]
+                        layer = _native_layer(node, q.scale, q.zero_point, k, n)
+                        out = fenced((m, n), np.uint8 if quantized else np.float32)
+                        lib.qn_gemm(ctypes.byref(layer), a.ctypes.data, m, out.ctypes.data)
+            for in_size, out_size in ((4, 4), (1, 1), (4, 1)):
+                x = fenced((2, 7, 9, 5), np.float32 if in_size == 4 else np.uint8)
+                x[...] = 1
+                for view in (x, x.reshape(2, 5, 7, 9).transpose(0, 2, 3, 1)):
+                    k_dim = 5 * 5 * 5
+                    row = 4 * k_dim if out_size == 4 else native.column_stride(k_dim)
+                    cols = fenced((2 * 4 * 5, row), np.uint8)
+                    gather = _native_gather(lib, h=7, w=9, c=5, kernel=5, stride=2, pad=3,
+                                            oh=4, ow=5, in_size=in_size, out_size=out_size,
+                                            row=row, scale=0.05, zp=9)
+                    gather(view, cols)
+            print("ok")
+        """)
+        root = Path(__file__).resolve().parent.parent
+        env = {**os.environ, "PYTHONPATH": f"{root / 'src'}{os.pathsep}{root}"}
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, cwd=root, timeout=300)
+        assert proc.returncode == 0 and proc.stdout.split() == ["ok"], proc.stderr[-2000:]
+
+    def test_thread_replicas_match_serial(self, native_lib, calibrated_proto):
+        """Two replicas run int8 batches in two threads at once (ctypes
+        releases the GIL, and AMX tile state is configured per call, per
+        thread) and return the serial bits."""
+        plan = compile_plan(calibrated_proto)
+        rng = np.random.default_rng(11)
+        batches = [rng.standard_normal((b, 5, HW, HW)).astype(np.float32) for b in (1, 3, 16, 5)]
+        serial = [plan.run(x) for x in batches]
+        replicas = [plan.replicate() for _ in range(2)]
+        mismatches = [0, 0]
+        runs = [0, 0]
+        start = threading.Barrier(2, timeout=60)
+
+        def work(i: int) -> None:
+            start.wait()
+            for _ in range(10):
+                for x, ref in zip(batches, serial):
+                    mismatches[i] += not np.array_equal(replicas[i].run(x), ref)
+                    runs[i] += 1
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert runs == [40, 40] and mismatches == [0, 0]
 
     def test_fallback_binds_numpy_kernels_with_the_same_outputs(self, calibrated_proto):
         """With the loader returning None the plan binds the NumPy kernels
@@ -464,9 +725,9 @@ class TestNativeLibraryCache:
         builds = []
         real_compile = native._compile
 
-        def counting_compile(compiler, path):
+        def counting_compile(compiler, flags, path):
             builds.append(path)
-            real_compile(compiler, path)
+            real_compile(compiler, flags, path)
 
         monkeypatch.setattr(native, "_compile", counting_compile)
         return builds
@@ -492,6 +753,25 @@ class TestNativeLibraryCache:
         monkeypatch.setattr(native, "_state", None)
         native.load()
         assert len(fresh_cache) == 2 and native._intact(path)
+
+    def test_compiler_without_amx_builds_the_vnni_kernels(self, fresh_cache, monkeypatch):
+        """A compiler that rejects the AMX flags builds the same source without
+        its AMX code: the VNNI kernels load and the status says why AMX is
+        off.  Later loads reuse that build without running the compiler."""
+        monkeypatch.setattr(native, "AMX_FLAGS", ("-mno-such-target-flag",))
+        if native.load() is None:
+            _skip_without_native()
+        assert native.engine() == "vnni"
+        assert "AMX off: " in native.status() and "-mno-such-target-flag" in native.status()
+        assert len(fresh_cache) == 2  # the rejected AMX build, then the VNNI build
+        monkeypatch.setattr(native, "_state", None)
+        assert native.engine() == "vnni" and len(fresh_cache) == 2
+
+    def test_amx_refusals_name_their_cause(self):
+        assert "CPU" in native._amx_refusal(2)
+        assert "ENOSPC" in native._amx_refusal(-errno.ENOSPC)
+        assert "signal stack" in native._amx_refusal(-errno.ENOSPC)
+        assert "EINVAL" in native._amx_refusal(-errno.EINVAL)
 
     def test_unwritable_cache_falls_back_to_numpy(self, fresh_cache, tmp_path, monkeypatch):
         blocker = tmp_path / "file"
