@@ -50,9 +50,8 @@ import struct
 import subprocess
 import tempfile
 import threading
-from pathlib import Path
-
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 

@@ -109,9 +109,9 @@ static inline void put_run(int64_t size, uint8_t *dst, const uint8_t *src, int64
 
 /* One column row (the window at oy, ox of the input at x) as `size`-byte
  * values at dst, with `fill` bytes in the border.  `lanes` is set when a
- * window row is at most 16 float32 values that are not one run (the
- * channels-last view of an NCHW input): then each in-bounds window row is
- * one AVX-512 gather at the byte offsets `offsets`. */
+ * window row is at most 16 float32 values: then an in-bounds window row
+ * that is not one run (the channels-last view of an NCHW input) is one
+ * AVX-512 gather at the byte offsets `offsets`. */
 static inline void gather_row(const qn_conv *G, const uint8_t *x, int64_t oy, int64_t ox,
                               int64_t sh, int64_t sw, int64_t sc, int64_t size, int fill,
                               __mmask16 lanes, __m512i offsets, uint8_t *dst)
@@ -162,7 +162,7 @@ void qn_gather(const qn_conv *G, const uint8_t *x, int64_t n,
     /* Byte offsets of a window row's values, for the one-gather path. */
     __mmask16 lanes = 0;
     int32_t at[16] = {0};
-    if (G->in_size == 4 && run <= 16 && !(sc == 4 && sw == 4 * G->c)) {
+    if (G->in_size == 4 && run <= 16) {
         const int64_t reach = (G->kernel - 1) * (sw < 0 ? -sw : sw) + (G->c - 1) * (sc < 0 ? -sc : sc);
         if (reach < INT32_MAX) {
             for (int64_t kw = 0; kw < G->kernel; kw++)
@@ -181,8 +181,8 @@ void qn_gather(const qn_conv *G, const uint8_t *x, int64_t n,
                                (uint8_t *)G->scratch);
                     quantize_run(G->scratch, values, G->scale, (float)G->zp, dst);
                 } else {
-                    gather_row(G, x + b * sn, oy, ox, sh, sw, sc, G->out_size, fill,
-                               G->out_size == 4 ? lanes : 0, offsets, dst);
+                    gather_row(G, x + b * sn, oy, ox, sh, sw, sc, G->out_size, fill, lanes,
+                               offsets, dst);
                 }
                 if (values * G->out_size < G->row)  /* K padding of uint8 rows */
                     memset(dst + values * G->out_size, 0,
@@ -297,7 +297,7 @@ epilogue_rows(const qn_layer *L, const int32_t *acc, int rows, int64_t row, int6
 static inline __attribute__((always_inline)) void
 tile(const qn_layer *L, const uint8_t *a, int64_t row, int mr, int64_t vec, int nv, void *out)
 {
-    /* K steps past k read the zero padding of both operands. */
+    /* The last group's K steps past k multiply column padding by zero weights. */
     const int64_t kp = qn_kp(L->k), groups = (L->k + 3) / 4;
     const int8_t *w = L->w + vec * kp * 16;
     const uint8_t *rows = a + row * kp;
