@@ -256,7 +256,7 @@ class TestAutotune:
         assert leads and all(v.endswith(".int8") for v in leads.values()), leads
 
     def test_numpy_kernels_force_every_conv_and_gemm_to_fp32(self, calibrated_proto):
-        with _numpy_kernels():
+        with _on("numpy"):
             tune = autotune_variants(calibrated_proto)
             plan = compile_plan(calibrated_proto, variants=tune.variants)
         leads = self._conv_gemm(plan)
@@ -297,11 +297,6 @@ def _engines() -> tuple[str, ...]:
     NumPy: AMX tiles where the loader granted them, and VNNI (forced on an
     AMX host by patching the loader's decision)."""
     return ("amx", "vnni") if native.engine() == "amx" else ("vnni",)
-
-
-def _numpy_kernels():
-    """Bind as on a host where the native library did not load."""
-    return _on("numpy")
 
 
 def _on(engine: str):
@@ -551,7 +546,7 @@ class TestNativeKernels:
         a = np.ascontiguousarray(np.repeat(codes, 256).reshape(1, 256, 256, 1))
         b = np.ascontiguousarray(np.tile(codes, 256).reshape(1, 256, 256, 1))
         got = _bind_qadd(node, Arena(poison=True), None)({"a": a, "b": b})
-        with _numpy_kernels():
+        with _on("numpy"):
             ref = _bind_qadd(node, Arena(poison=True), None)({"a": a, "b": b})
         np.testing.assert_array_equal(got, ref)
         if clips == "high":
@@ -700,7 +695,7 @@ class TestNativeKernels:
         """With the loader returning None the plan binds the NumPy kernels
         (float32 code carriers, no packed codes) and its outputs equal the
         default plan's bit for bit."""
-        with _numpy_kernels():
+        with _on("numpy"):
             fallback = compile_plan(calibrated_proto, poison=True)
         int8_nodes = [n for n in fallback.blueprint.nodes
                       if n.qconfig and n.op_type in ("Conv", "Gemm")]
