@@ -20,8 +20,9 @@ and on which GEMM engine:
   version, so the build runs once per machine and source tree.  The
   library is written under a temporary name and moved into place with
   :func:`os.replace`, so concurrent first calls never load a torn file.
-  A compiler that rejects the AMX flags builds the same source without
-  its AMX code;
+  When the build with the AMX flags fails (a compiler or assembler
+  without AMX), the same source builds without its AMX code and
+  :func:`status` quotes the compiler's error;
 - it then loads the library with :mod:`ctypes` (calls release the GIL,
   so thread-mode replicas run batches in parallel) and asks it whether
   this CPU has every instruction set it was built for;
@@ -118,6 +119,7 @@ class Layer(ctypes.Structure):
         ("rnd", ctypes.c_void_p),
         ("total", ctypes.c_void_p),
         ("k", ctypes.c_int64),
+        ("kp", ctypes.c_int64),
         ("n", ctypes.c_int64),
         ("zp_out", ctypes.c_int64),
         ("lo", ctypes.c_int64),
@@ -156,8 +158,10 @@ class Conv(ctypes.Structure):
 def column_stride(k: int) -> int:
     """Bytes per uint8 column row of a K-long reduction: K rounded up to 64.
 
-    Both GEMM engines read this one stride; the gather zero-fills the
-    padding, and the packed weights there are zero.
+    The one place this format is decided: :func:`pack_weights` pads K to
+    it, the plan sizes column buffers and the gather's rows with it, and
+    both GEMM engines read it from ``Layer.kp``.  The gather zero-fills
+    the padding, and the packed weights there are zero.
     """
     return -(-k // ROW_ALIGN) * ROW_ALIGN
 
@@ -232,23 +236,28 @@ def _compile(compiler: str, flags: tuple[str, ...], path: Path) -> None:
 def _build(compiler: str) -> tuple[Path, str | None]:
     """The cached library, built if needed: ``(path, why it has no AMX code)``.
 
-    Builds with :data:`AMX_FLAGS` first.  When the compiler rejects them,
-    the same source builds without its AMX code; a cached build of that
-    kind (and no AMX build beside it) is reused as it is.
+    Builds with :data:`AMX_FLAGS` first.  When that build fails, the same
+    source builds without its AMX code, and the reason quotes the
+    compiler's first error line.  A cached build of that kind (and no AMX
+    build beside it) is reused as it is; deleting it retries the AMX build.
     """
     version = subprocess.run([compiler, "--version"], capture_output=True, text=True,
                              timeout=COMPILE_TIMEOUT_S, check=True).stdout
     with_amx = _library_path(compiler, version, FLAGS + AMX_FLAGS)
     plain = _library_path(compiler, version, FLAGS)
+    command = f"{Path(compiler).name} {' '.join(AMX_FLAGS)}"
     if _intact(with_amx):
         return with_amx, None
-    if not _intact(plain):
-        try:
-            _compile(compiler, FLAGS + AMX_FLAGS, with_amx)
-            return with_amx, None
-        except RuntimeError:
-            _compile(compiler, FLAGS, plain)
-    return plain, f"{Path(compiler).name} does not compile {' '.join(AMX_FLAGS)}"
+    if _intact(plain):
+        return plain, f"an earlier {command} build failed; delete the library to retry it"
+    try:
+        _compile(compiler, FLAGS + AMX_FLAGS, with_amx)
+        return with_amx, None
+    except RuntimeError as exc:
+        lines = str(exc).removeprefix(f"{compiler} failed: ").splitlines() or [str(exc)]
+        error = next((line for line in lines if "error" in line), lines[0]).strip()
+    _compile(compiler, FLAGS, plain)
+    return plain, f"{command} failed: {error}"
 
 
 def _amx_refusal(code: int) -> str:

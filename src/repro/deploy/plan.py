@@ -594,7 +594,7 @@ def _native_layer(node: PlanNode, s_in: float, zp_in: int, k: int, n: int) -> na
     layer = native.Layer(
         w=packed.ctypes.data, zp_term=q_f64[0].ctypes.data, f64=q_f64[1].ctypes.data,
         bias=None if q_bias is None else q_bias.ctypes.data, m0=m0, rnd=rnd, total=total,
-        k=k, n=n, zp_out=zp_out, lo=zp_out if node.relu else 0,
+        k=k, kp=native.column_stride(k), n=n, zp_out=zp_out, lo=zp_out if node.relu else 0,
         out_kind=native.OUT_F32 if q_out is None else native.OUT_U8, relu=int(node.relu),
         amx=int(native.engine() == "amx"),
     )

@@ -8,20 +8,21 @@
  * reads any strided (N, H, W, C) view, such as the channels-last view of
  * an NCHW model input, and moves whole byte runs where pixels and
  * channels are contiguous.  uint8 column rows are K padded with zeros to
- * a multiple of 64 bytes (qn_kp), the one row stride both GEMM engines
- * read.
+ * the row stride the caller passes (qn_conv.row).
  *
- * The GEMM reads weights packed as [C_out / 16][K / 4][16][4] with K
- * padded to 64 (repro.deploy.native.pack_weights), which is at once the
- * VNNI layout (one vpdpbusd advances 16 output channels by four K-steps)
- * and the AMX B-tile layout (16 rows of four K-steps x 16 channels per
- * 64-byte tile row).  AMX (tdpbusd) multiplies 16-row blocks of columns
- * by 16-channel blocks of weights 64 K-steps at a time; the VNNI loop
- * keeps register blocks of accumulators over the whole K loop.  Both
- * then run one epilogue (epilogue16), which repeats the arithmetic of
- * the NumPy int8 kernels (repro/deploy/plan.py, repro/deploy/qkernels.py)
- * in the same order and precision, so AMX, VNNI and NumPy produce the
- * same output bits.
+ * The GEMM reads column rows kp bytes apart and weights packed as
+ * [C_out / 16][kp / 4][16][4], where kp (qn_layer.kp) is K padded to a
+ * multiple of 64.  The caller decides kp (repro.deploy.native.column_stride,
+ * behind pack_weights and the column buffers); this file follows it.
+ * The packing is at once the VNNI layout (one vpdpbusd advances 16 output
+ * channels by four K-steps) and the AMX B-tile layout (16 rows of four
+ * K-steps x 16 channels per 64-byte tile row).  AMX (tdpbusd) multiplies
+ * 16-row blocks of columns by 16-channel blocks of weights 64 K-steps at
+ * a time; the VNNI loop keeps register blocks of accumulators over the
+ * whole K loop.  Both then run one epilogue (epilogue16), which repeats
+ * the arithmetic of the NumPy int8 kernels (repro/deploy/plan.py,
+ * repro/deploy/qkernels.py) in the same order and precision, so AMX, VNNI
+ * and NumPy produce the same output bits.
  *
  * AMX code is compiled only when the compiler targets AMX-INT8, and runs
  * only after qn_amx_enable granted this process the tile data state.
@@ -48,7 +49,10 @@ typedef struct {
     const int64_t *m0;      /* OUT_U8: Q31 mantissa */
     const int64_t *rnd;     /* OUT_U8: round-half-up term 1 << (total - 1) */
     const int64_t *total;   /* OUT_U8: right shift 31 + shift */
-    int64_t k, n;           /* reduction length, output channels */
+    int64_t k;              /* reduction length */
+    int64_t kp;             /* k padded to a multiple of 64: bytes per column row
+                               and K steps per packed channel block */
+    int64_t n;              /* output channels */
     int64_t zp_out, lo;     /* OUT_U8: output zero point, clamp floor */
     int32_t out_kind, relu;
     int32_t amx;            /* run on AMX tiles (when this process may) */
@@ -64,9 +68,6 @@ typedef struct {
     float scale;            /* float32 in, uint8 out: the input scale */
     int32_t zp;             /* uint8 out: the input zero point, the border code */
 } qn_conv;
-
-/* The column row stride of a K-long uint8 row: K rounded up to 64. */
-static inline int64_t qn_kp(int64_t k) { return (k + 63) & ~(int64_t)63; }
 
 int qn_cpu_ok(void)
 {
@@ -108,13 +109,10 @@ static inline void put_run(int64_t size, uint8_t *dst, const uint8_t *src, int64
 }
 
 /* One column row (the window at oy, ox of the input at x) as `size`-byte
- * values at dst, with `fill` bytes in the border.  `lanes` is set when a
- * window row is at most 16 float32 values: then an in-bounds window row
- * that is not one run (the channels-last view of an NCHW input) is one
- * AVX-512 gather at the byte offsets `offsets`. */
+ * values at dst, with `fill` bytes in the border. */
 static inline void gather_row(const qn_conv *G, const uint8_t *x, int64_t oy, int64_t ox,
                               int64_t sh, int64_t sw, int64_t sc, int64_t size, int fill,
-                              __mmask16 lanes, __m512i offsets, uint8_t *dst)
+                              uint8_t *dst)
 {
     const int64_t k = G->kernel, c = G->c, ix0 = ox * G->stride - G->pad;
     /* A window row is one run when pixels and channels are contiguous. */
@@ -127,17 +125,9 @@ static inline void gather_row(const qn_conv *G, const uint8_t *x, int64_t oy, in
             continue;
         }
         const uint8_t *src = x + iy * sh;
-        if (ix0 >= 0 && ix0 + k <= G->w) {
-            if (runs) {
-                memcpy(d, src + ix0 * sw, (size_t)(k * c * size));
-                continue;
-            }
-            if (lanes) {
-                const __m512 v = _mm512_mask_i32gather_ps(_mm512_setzero_ps(), lanes, offsets,
-                                                          src + ix0 * sw, 1);
-                _mm512_mask_storeu_ps(d, lanes, v);
-                continue;
-            }
+        if (runs && ix0 >= 0 && ix0 + k <= G->w) {
+            memcpy(d, src + ix0 * sw, (size_t)(k * c * size));
+            continue;
         }
         for (int64_t kw = 0; kw < k; kw++) {
             const int64_t ix = ix0 + kw;
@@ -156,33 +146,18 @@ static inline void gather_row(const qn_conv *G, const uint8_t *x, int64_t oy, in
 void qn_gather(const qn_conv *G, const uint8_t *x, int64_t n,
                int64_t sn, int64_t sh, int64_t sw, int64_t sc, uint8_t *cols)
 {
-    const int64_t values = G->kernel * G->kernel * G->c, run = G->kernel * G->c;
+    const int64_t values = G->kernel * G->kernel * G->c;
     const int quantize = G->in_size == 4 && G->out_size == 1;
     const int fill = G->out_size == 4 ? 0 : G->zp;  /* 0.0f is all zero bytes */
-    /* Byte offsets of a window row's values, for the one-gather path. */
-    __mmask16 lanes = 0;
-    int32_t at[16] = {0};
-    if (G->in_size == 4 && run <= 16) {
-        const int64_t reach = (G->kernel - 1) * (sw < 0 ? -sw : sw) + (G->c - 1) * (sc < 0 ? -sc : sc);
-        if (reach < INT32_MAX) {
-            for (int64_t kw = 0; kw < G->kernel; kw++)
-                for (int64_t ci = 0; ci < G->c; ci++)
-                    at[kw * G->c + ci] = (int32_t)(kw * sw + ci * sc);
-            lanes = (__mmask16)((1u << run) - 1);
-        }
-    }
-    const __m512i offsets = _mm512_loadu_si512(at);
     uint8_t *dst = cols;
     for (int64_t b = 0; b < n; b++)
         for (int64_t oy = 0; oy < G->oh; oy++)
             for (int64_t ox = 0; ox < G->ow; ox++, dst += G->row) {
                 if (quantize) {
-                    gather_row(G, x + b * sn, oy, ox, sh, sw, sc, 4, 0, lanes, offsets,
-                               (uint8_t *)G->scratch);
+                    gather_row(G, x + b * sn, oy, ox, sh, sw, sc, 4, 0, (uint8_t *)G->scratch);
                     quantize_run(G->scratch, values, G->scale, (float)G->zp, dst);
                 } else {
-                    gather_row(G, x + b * sn, oy, ox, sh, sw, sc, G->out_size, fill, lanes,
-                               offsets, dst);
+                    gather_row(G, x + b * sn, oy, ox, sh, sw, sc, G->out_size, fill, dst);
                 }
                 if (values * G->out_size < G->row)  /* K padding of uint8 rows */
                     memset(dst + values * G->out_size, 0,
@@ -298,7 +273,7 @@ static inline __attribute__((always_inline)) void
 tile(const qn_layer *L, const uint8_t *a, int64_t row, int mr, int64_t vec, int nv, void *out)
 {
     /* The last group's K steps past k multiply column padding by zero weights. */
-    const int64_t kp = qn_kp(L->k), groups = (L->k + 3) / 4;
+    const int64_t kp = L->kp, groups = (L->k + 3) / 4;
     const int8_t *w = L->w + vec * kp * 16;
     const uint8_t *rows = a + row * kp;
     __m512i acc[MR_MAX][NV_MAX];
@@ -389,7 +364,7 @@ static inline __attribute__((always_inline)) void
 amx_block(const qn_layer *L, const uint8_t *a, int64_t row, int rows, int mr, int64_t vec,
           int nv, void *out)
 {
-    const int64_t kp = qn_kp(L->k);
+    const int64_t kp = L->kp;
     const uint8_t *a0 = a + row * kp, *a1 = a0 + 16 * kp;
     const int8_t *b0 = L->w + vec * kp * 16, *b1 = b0 + kp * 16;
     _tile_zero(0);
@@ -490,7 +465,7 @@ int qn_amx_enable(void)
 #endif
 }
 
-/* out[m, n] = epilogue(a[m, k] (uint8, rows qn_kp(k) bytes apart) @ w[k, n]
+/* out[m, n] = epilogue(a[m, k] (uint8, rows L->kp bytes apart) @ w[k, n]
  * (int8, packed)), row-major. */
 void qn_gemm(const qn_layer *L, const uint8_t *a, int64_t m, void *out)
 {

@@ -323,12 +323,13 @@ def _native_s32(lib, a: np.ndarray, w: np.ndarray, engine: str) -> np.ndarray:
     there are zero, so no padding byte may reach a sum.
     """
     m, k = a.shape
-    cols = np.full((m, native.column_stride(k)), 255, np.uint8)
+    kp = native.column_stride(k)
+    cols = np.full((m, kp), 255, np.uint8)
     cols[:, :k] = a
     packed = native.pack_weights(w)
     zeros = np.zeros(16 * packed.shape[0])
     layer = native.Layer(w=packed.ctypes.data, zp_term=zeros.ctypes.data,
-                         f64=zeros.ctypes.data, k=k, n=w.shape[1],
+                         f64=zeros.ctypes.data, k=k, kp=kp, n=w.shape[1],
                          out_kind=native.OUT_S32, amx=int(engine == "amx"))
     out = np.empty((m, w.shape[1]), np.int32)
     lib.qn_gemm(ctypes.byref(layer), cols.ctypes.data, m, out.ctypes.data)
@@ -727,27 +728,39 @@ class TestNativeLibraryCache:
         monkeypatch.setattr(native, "_compile", counting_compile)
         return builds
 
-    def test_second_load_runs_no_compiler_and_truncation_rebuilds(self, fresh_cache,
+    def test_second_load_runs_no_compiler_and_truncation_rebuilds(self, fresh_cache, tmp_path,
                                                                   monkeypatch):
-        first = native.load()
-        assert len(fresh_cache) == 1
-        path = fresh_cache[0]
-        assert path.parent == native.cache_dir() and path.is_file()
-        assert not [p for p in path.parent.iterdir() if p.name.startswith(".")]  # no temp left
+        """Whichever build the compiler accepts: once with the AMX flags as
+        they are, once with them replaced by a flag the compiler rejects
+        (the first load then runs the compiler twice and loads the second
+        build).  The rebuild after truncation runs what the first load ran."""
+        for flavour, amx_flags in (("as-is", native.AMX_FLAGS),
+                                   ("rejected", ("-mno-such-target-flag",))):
+            monkeypatch.setattr(native, "AMX_FLAGS", amx_flags)
+            monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / flavour))
+            monkeypatch.setattr(native, "_state", None)
+            fresh_cache.clear()
+            first = native.load()
+            builds = len(fresh_cache)
+            path = fresh_cache[-1]  # the build that loaded
+            assert builds in (1, 2)
+            assert path.parent == native.cache_dir() and path.is_file()
+            assert not [p for p in path.parent.iterdir() if p.name.startswith(".")]  # no temp
 
-        monkeypatch.setattr(native, "_state", None)
-        assert (native.load() is None) == (first is None)
-        assert len(fresh_cache) == 1  # the cached library loaded; no compiler ran
+            monkeypatch.setattr(native, "_state", None)
+            assert (native.load() is None) == (first is None)
+            assert len(fresh_cache) == builds  # the cached library loaded; no compiler ran
 
-        # Damage the cached file (a new inode, so this process's mapping of
-        # the old one stays valid): the next load rebuilds it.
-        tmp = path.with_name("truncated")
-        tmp.write_bytes(path.read_bytes()[:4096])
-        os.replace(tmp, path)
-        assert not native._intact(path)
-        monkeypatch.setattr(native, "_state", None)
-        native.load()
-        assert len(fresh_cache) == 2 and native._intact(path)
+            # Damage the cached file (a new inode, so this process's mapping
+            # of the old one stays valid): the next load rebuilds it.
+            tmp = path.with_name("truncated")
+            tmp.write_bytes(path.read_bytes()[:4096])
+            os.replace(tmp, path)
+            assert not native._intact(path)
+            monkeypatch.setattr(native, "_state", None)
+            native.load()
+            assert len(fresh_cache) == 2 * builds and fresh_cache[-1] == path
+            assert native._intact(path)
 
     def test_compiler_without_amx_builds_the_vnni_kernels(self, fresh_cache, monkeypatch):
         """A compiler that rejects the AMX flags builds the same source without
@@ -757,10 +770,14 @@ class TestNativeLibraryCache:
         if native.load() is None:
             _skip_without_native()
         assert native.engine() == "vnni"
-        assert "AMX off: " in native.status() and "-mno-such-target-flag" in native.status()
+        # The reason quotes the compiler's error, which names the flag.
+        reason = native.status().partition("AMX off: ")[2]
+        assert reason.startswith("cc -mno-such-target-flag failed: ")
+        assert "-mno-such-target-flag" in reason.removeprefix("cc -mno-such-target-flag")
         assert len(fresh_cache) == 2  # the rejected AMX build, then the VNNI build
         monkeypatch.setattr(native, "_state", None)
         assert native.engine() == "vnni" and len(fresh_cache) == 2
+        assert "an earlier cc -mno-such-target-flag build failed" in native.status()
 
     def test_amx_refusals_name_their_cause(self):
         assert "CPU" in native._amx_refusal(2)
