@@ -56,20 +56,28 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--initial-output-feature", type=int, default=32)
 
 
+class _BadFlags(Exception):
+    """Flag values a command cannot use; :func:`main` prints the message
+    as one stderr line and exits 2, as argparse does."""
+
+
 def _config_from_args(args: argparse.Namespace):
     from repro.nas.config import ModelConfig
 
-    return ModelConfig(
-        channels=args.channels,
-        batch=args.batch,
-        kernel_size=args.kernel_size,
-        stride=args.stride,
-        padding=args.padding,
-        pool_choice=args.pool_choice,
-        kernel_size_pool=args.kernel_size_pool,
-        stride_pool=args.stride_pool,
-        initial_output_feature=args.initial_output_feature,
-    )
+    try:
+        return ModelConfig(
+            channels=args.channels,
+            batch=args.batch,
+            kernel_size=args.kernel_size,
+            stride=args.stride,
+            padding=args.padding,
+            pool_choice=args.pool_choice,
+            kernel_size_pool=args.kernel_size_pool,
+            stride_pool=args.stride_pool,
+            initial_output_feature=args.initial_output_feature,
+        )
+    except ValueError as exc:
+        raise _BadFlags(str(exc)) from None
 
 
 def _cmd_space(args: argparse.Namespace) -> int:
@@ -803,7 +811,11 @@ def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
     configure(level=10 if args.verbose else 20)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except _BadFlags as exc:
+        print(f"repro-nas {args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

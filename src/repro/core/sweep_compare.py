@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from repro.core.pipeline import PipelineResult
 from repro.nas.config import ModelConfig
@@ -67,7 +66,10 @@ def compare_sweeps(a: PipelineResult, b: PipelineResult) -> SweepComparison:
         raise ValueError(f"only {len(common)} common trials; nothing to compare")
     acc_a = np.array([by_a[key]["accuracy"] for key in common])
     acc_b = np.array([by_b[key]["accuracy"] for key in common])
-    rho, _ = scipy_stats.spearmanr(acc_a, acc_b)
+    # Imported on first use: scipy.stats takes about 0.25 s to import.
+    from scipy.stats import spearmanr
+
+    rho, _ = spearmanr(acc_a, acc_b)
 
     front_a = _front_architectures(a)
     front_b = _front_architectures(b)

@@ -1,7 +1,9 @@
 """Model intermediate representation.
 
-A traced model becomes a :class:`~repro.graph.ir.Graph` — a networkx-backed
-DAG of operator nodes annotated with shapes, parameter counts and FLOPs.
+A traced model becomes a :class:`~repro.graph.ir.Graph` — a DAG of
+operator nodes, held in plain dicts, annotated with shapes, parameter
+counts and FLOPs.  Its topological order is networkx's (Kahn's algorithm
+by generations), which the tests check against networkx itself.
 The latency predictors (:mod:`repro.latency`) and the ONNX-style exporter
 (:mod:`repro.onnxlite`) both consume this IR, exactly as nn-Meter and ONNX
 consume a traced PyTorch model in the paper's pipeline.

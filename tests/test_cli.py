@@ -67,6 +67,15 @@ class TestCommands:
         assert "Converting an old shard directory" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command", ["latency", "energy", "quantize", "profile", "infer",
+                                         "serve-bench"])
+    def test_bad_config_flag_is_a_usage_error(self, capsys, command):
+        """A flag ModelConfig rejects exits 2 with one stderr line, as argparse does."""
+        assert main([command, "--stride", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"repro-nas {command}: stride must be positive, got 0\n"
+        assert captured.out == ""
+
     def test_energy(self, capsys):
         assert main(["energy", "--kernel-size", "3", "--padding", "1",
                      "--pool-choice", "0", "--initial-output-feature", "32"]) == 0

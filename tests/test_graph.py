@@ -71,6 +71,15 @@ class TestGraphStructure:
         order = [n.name for n in g.topological()]
         assert order.index("in") < order.index("conv") < order.index("out")
 
+    @pytest.mark.parametrize("edge", [("out", "conv"), ("conv", "conv")])
+    def test_cycle_raises_value_error(self, edge):
+        g = self._mini()
+        g.add_edge(*edge)
+        with pytest.raises(ValueError, match="cycle"):
+            g.topological()
+        with pytest.raises(ValueError, match="cycle"):
+            g.validate()
+
 
 class TestTrace:
     def test_traced_params_equal_model_params(self):
