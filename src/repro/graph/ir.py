@@ -149,13 +149,13 @@ class Graph:
 
     def ops(self, op: OpType) -> list[Node]:
         """All nodes of a given operator type."""
-        return [n for n in self._nodes.values() if n.op is op]
+        return [n for n in self.nodes() if n.op is op]
 
     # -- derived quantities ----------------------------------------------------------
 
     def total_params(self) -> int:
         """Sum of parameters over all nodes."""
-        return sum(n.params for n in self._nodes.values())
+        return sum(n.params for n in self.nodes())
 
     def validate(self) -> None:
         """Check the IR is a connected DAG with consistent shapes.
@@ -164,7 +164,7 @@ class Graph:
         whose producer output shape disagrees with the consumer input shape
         (ADD nodes compare against each producer individually).
         """
-        self.topological()
+        self.topological()  # raises on a cycle
         for name, node in self._nodes.items():
             preds = self._pred[name]
             if node.op is not OpType.INPUT and not preds:

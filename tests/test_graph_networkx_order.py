@@ -69,8 +69,9 @@ class TestTracedModels:
 
 @st.composite
 def _dags(draw):
-    """Node count, edges (duplicates included) and a node insertion order
-    that differs from the edges' topological ranking."""
+    """A node count and a shuffled edge list with repeated edges.  Edges
+    run from lower to higher rank under a random ranking of the nodes, so
+    the graph is acyclic but node insertion order is not topological."""
     n = draw(st.integers(1, 12))
     rank = draw(st.permutations(range(n)))
     pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
